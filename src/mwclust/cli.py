@@ -17,18 +17,25 @@ from dataclasses import fields as dc_fields
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, build_index
-from mwclust.dgp import DgpSpec, structure, true_bias_term
+from mwclust.clusters import ClusterScheme, WeightedSample, build_index
+from mwclust.dgp import DgpSpec, draw, structure, true_bias_term
 from mwclust.diagnostics import assumption_ratios, leverage_L, rank_condition
-from mwclust.harness import run_consistency, run_coverage
+from mwclust.harness import (
+    INTERCEPT_TRUE,
+    THETA_TRUE,
+    _regressor,
+    run_consistency,
+    run_coverage,
+)
 from mwclust.regression import (
+    Z_CRIT_95,
     RegressionData,
     SingularDesignError,
     fwl_residualize,
     theta_inference,
 )
 from mwclust.stein import wasserstein_bound
-from mwclust.variance import jacobi_eigh
+from mwclust.variance import cgm_raw, dof_factor, psd_clip
 
 SCHEMA_VERSION = 1
 
@@ -153,6 +160,20 @@ def _floats(path: str, col: str, values: list[str]) -> np.ndarray:
             raise DataError(
                 f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}"
             ) from None
+    if not np.isfinite(out).all():
+        k = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise DataError(f"{path}: row {k + 2}: column {col!r}: not finite: {values[k]!r}")
+    return out
+
+
+def _weights(path: str, col: str, values: list[str]) -> np.ndarray:
+    """Analytic weights: finite and strictly positive."""
+    out = _floats(path, col, values)
+    if (out <= 0).any():
+        k = int(np.flatnonzero(out <= 0)[0])
+        raise DataError(
+            f"{path}: row {k + 2}: weight column {col!r} must be positive: {values[k]!r}"
+        )
     return out
 
 
@@ -174,10 +195,8 @@ def _build_regression(args) -> tuple[RegressionData, np.ndarray | None]:
     scheme = ClusterScheme.from_labels(
         table[cluster_cols[0]], table[cluster_cols[1]], dims=tuple(cluster_cols)
     )
-    weight = _floats(args.data, args.weight, table[args.weight]) if args.weight else None
+    weight = _weights(args.data, args.weight, table[args.weight]) if args.weight else None
     if weight is not None:
-        if (weight <= 0).any():
-            raise DataError(f"{args.data}: weight column {args.weight!r} must be positive")
         # analytic weights: rescale rows, clusters untouched
         root = np.sqrt(weight)
         Y = Y * root
@@ -196,21 +215,14 @@ def cmd_estimate(args) -> int:
     sigma_sq = res.sigma_sq
     V = res.V_hat
     if args.dof_correction:
-        factor = 1.0
-        for sizes in index.cluster_sizes:
-            if sizes.size > 1:
-                factor *= sizes.size / (sizes.size - 1.0)
+        factor = dof_factor(index)
         sigma_sq *= factor
         V = V * factor
     if args.psd_project and V is not None:
-        vals, vecs = jacobi_eigh(V)
-        V = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
-        V = 0.5 * (V + V.T)
+        V = psd_clip(V)
         sigma_sq = max(sigma_sq, 0.0)
     negative = sigma_sq < 0
     sigma = float(np.sqrt(sigma_sq)) if not negative else None
-    from mwclust.regression import Z_CRIT_95
-
     ci = (
         [res.theta_hat - Z_CRIT_95 * sigma, res.theta_hat + Z_CRIT_95 * sigma]
         if sigma is not None
@@ -248,9 +260,6 @@ def _data_diagnostics(data: RegressionData, index, res, warnings: list[str]) -> 
     lam = None
     try:
         scores = res.residuals * res.D_tilde
-        from mwclust.clusters import WeightedSample
-        from mwclust.variance import cgm_raw
-
         est = cgm_raw(
             WeightedSample(W=scores[:, None], omega=np.ones(data.n)), index
         )
@@ -283,8 +292,6 @@ def cmd_simulate(args) -> int:
     out = args.out or cfg.get("out")
     fmt = args.format or cfg.get("format", "json")
     warnings: list[str] = []
-    if args.threads and args.threads > 1:
-        warnings.append("threads > 1 requested; running sequentially")
     scheme, oracle = structure(spec)
     if mode == "coverage":
         target = cfg.get("target", "mean")
@@ -331,9 +338,6 @@ def _trace_csv(trace: list[dict]) -> str:
 
 def _write_replication(path: str, spec: DgpSpec, seed: int) -> dict:
     """Write replication 0 as a dataset and return its in-memory estimates."""
-    from mwclust.dgp import draw
-    from mwclust.harness import INTERCEPT_TRUE, THETA_TRUE, _regressor
-
     scheme, _ = structure(spec)
     g, h = scheme.labels
     W = draw(DgpSpec(**{**spec.__dict__, "seed": seed}), 0)
@@ -409,7 +413,7 @@ def cmd_diagnose(args) -> int:
         )
         index = build_index(scheme)
         weights = (
-            _floats(args.data, args.weight, table[args.weight])
+            _weights(args.data, args.weight, table[args.weight])
             if args.weight
             else np.ones(scheme.n)
         )
@@ -456,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=["json", "csv"], default=None)
     sim.add_argument("--reps", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--threads", type=int, default=1)
     sim.set_defaults(func=cmd_simulate)
 
     bnd = sub.add_parser("bound", help="normal-approximation bound for a design")

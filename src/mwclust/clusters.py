@@ -2,12 +2,14 @@
 
 An observation's neighborhood is the union of its clusters on every
 dimension; two observations outside each other's neighborhoods are treated
-as independent by every estimator in this package.
+as independent by every estimator in this package. ``NeighborhoodIndex``
+owns the one kernel that sums over neighborhoods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +112,15 @@ class WeightedSample:
 
 
 class NeighborhoodIndex:
-    """Precomputed cluster membership enabling iteration over dependent pairs.
+    """Cluster sizes, intersection cells and the shared cluster-sum kernel.
+
+    Every neighbourhood sum in the package goes through :meth:`cluster_sums`:
+    by inclusion-exclusion, a sum over i's neighbourhood is its G-cluster sum
+    plus its H-cluster sum minus its intersection-cell sum. The pair-sum
+    variance, the bias term, the Monte Carlo bound and the data-mode
+    diagnostics all use it. Per-cluster member lists, read by
+    :meth:`neighborhood` (the independent pair-enumeration check) and by the
+    oracle-mode diagnostics, are built on first use.
 
     Immutable once built; safe to share across concurrent readers.
     """
@@ -122,25 +132,23 @@ class NeighborhoodIndex:
             )
         self.scheme = scheme
         self.n = scheme.n
-        self.members: list[list[np.ndarray]] = []
-        self.cluster_sizes: list[np.ndarray] = []
-        for lab in scheme.labels:
-            n_c = int(lab.max()) + 1
-            order = np.argsort(lab, kind="stable")
-            counts = np.bincount(lab, minlength=n_c)
-            splits = np.split(order, np.cumsum(counts)[:-1])
-            self.members.append([np.sort(m) for m in splits])
-            self.cluster_sizes.append(counts)
+        self.cluster_sizes = [np.bincount(lab) for lab in scheme.labels]
         g, h = scheme.labels
-        n_h = int(h.max()) + 1
-        self.cell_id = g * n_h + h
-        uniq, inv = np.unique(self.cell_id, return_inverse=True)
-        self.cell_dense = inv
+        uniq, self.cell_dense = np.unique(g * self.cluster_sizes[1].size + h, return_inverse=True)
         self.n_cells = uniq.size
-        order = np.argsort(inv, kind="stable")
-        counts = np.bincount(inv, minlength=self.n_cells)
-        self.cell_members = [np.sort(m) for m in np.split(order, np.cumsum(counts)[:-1])]
-        self.cell_sizes = counts
+        self._groups = (
+            (g, self.cluster_sizes[0].size),
+            (h, self.cluster_sizes[1].size),
+            (self.cell_dense, self.n_cells),
+        )
+
+    @cached_property
+    def members(self) -> list[list[np.ndarray]]:
+        """Per dimension, the ascending observation ids of each cluster."""
+        return [
+            np.split(np.argsort(lab, kind="stable"), np.cumsum(sizes)[:-1])
+            for lab, sizes in zip(self.scheme.labels, self.cluster_sizes)
+        ]
 
     def neighborhood(self, i: int) -> np.ndarray:
         """Sorted ids of observations sharing a cluster with ``i`` on any dimension."""
@@ -150,40 +158,43 @@ class NeighborhoodIndex:
         return np.union1d(self.members[0][g], self.members[1][h])
 
     def neighborhood_sizes(self) -> np.ndarray:
-        """N_i for every observation, by inclusion-exclusion over the two dimensions."""
+        """N_i for every observation: the neighbourhood sum of ones."""
+        return self.neighbor_sums(np.ones(self.n)).astype(np.int64)
+
+    def cluster_sums(self, x) -> list[np.ndarray]:
+        """Column sums of ``x`` per G cluster, per H cluster and per intersection cell.
+
+        ``x`` is an n-vector or an n-by-K array; each result has one row per
+        cluster (or cell) and the trailing shape of ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return [np.bincount(lab, weights=x, minlength=m) for lab, m in self._groups]
+        return [
+            np.column_stack([np.bincount(lab, weights=col, minlength=m) for col in x.T])
+            for lab, m in self._groups
+        ]
+
+    def neighbor_sums(self, x) -> np.ndarray:
+        """Row i holds the sum of ``x`` over i's neighbourhood, i included."""
+        s_g, s_h, s_cell = self.cluster_sums(x)
         g, h = self.scheme.labels
-        return (
-            self.cluster_sizes[0][g]
-            + self.cluster_sizes[1][h]
-            - self.cell_sizes[self.cell_dense]
-        )
+        return s_g[g] + s_h[h] - s_cell[self.cell_dense]
 
 
 def build_index(scheme: ClusterScheme) -> NeighborhoodIndex:
-    """Materialize cluster membership and intersection-cell structure."""
+    """Cluster sizes and intersection-cell structure of a two-way scheme."""
     return NeighborhoodIndex(scheme)
 
 
-def pair_weight_sums(index: NeighborhoodIndex, omega, mode: str):
-    """Per-dimension weight aggregates used by the regularity diagnostics.
+def pair_weight_sums(index: NeighborhoodIndex, omega) -> dict[str, np.ndarray]:
+    """Per dimension, the squared absolute-weight sum of every cluster.
 
-    mode "per-cluster-L1-squared" returns, per dimension, the vector of
-    squared absolute-weight cluster sums (callers take max or sum); mode
-    "cross-pair-abs" returns the scalar sum over all within-cluster pairs of
-    ``|omega_i omega_j|``, which equals the sum of the per-cluster values
-    exactly.
+    Their total over a dimension is the sum of ``|omega_i omega_j|`` over all
+    ordered within-cluster pairs of that dimension.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (index.n,):
         raise SchemaError("omega length does not match index")
-    out = {}
-    for dim, lab, sizes in zip(index.scheme.dims, index.scheme.labels, index.cluster_sizes):
-        sums = np.bincount(lab, weights=np.abs(omega), minlength=sizes.size)
-        sq = sums * sums
-        if mode == "per-cluster-L1-squared":
-            out[dim] = sq
-        elif mode == "cross-pair-abs":
-            out[dim] = float(sq.sum())
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return out
+    sums = index.cluster_sums(np.abs(omega))[:2]
+    return {dim: s * s for dim, s in zip(index.scheme.dims, sums)}

@@ -333,9 +333,5 @@ def true_bias_term(oracle: MomentOracle) -> float:
     The sign of this term determines whether a nonzero-mean design over- or
     under-states the variance.
     """
-    index = build_index(oracle.scheme)
     mu = oracle.mean
-    total = 0.0
-    for i in range(oracle.scheme.n):
-        total += mu[i] * mu[index.neighborhood(i)].sum()
-    return float(total)
+    return float(mu @ build_index(oracle.scheme).neighbor_sums(mu))

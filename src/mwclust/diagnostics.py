@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mwclust.clusters import NeighborhoodIndex, pair_weight_sums
-from mwclust.variance import jacobi_eigh
+from mwclust.variance import smallest_eigenvalue
 
 # Benchmark from the iid case: equal weights and no clustering give 1/n,
 # so a study trusted at n = 30 motivates this default.
@@ -47,16 +47,14 @@ def leverage_L(index: NeighborhoodIndex, weights) -> dict[str, float]:
     weights = np.asarray(weights, dtype=float)
     if not np.any(weights):
         raise ValueError("weights are all zero")
-    per_cluster = pair_weight_sums(index, weights, "per-cluster-L1-squared")
+    per_cluster = pair_weight_sums(index, weights)
     return {dim: float(sq.max() / sq.sum()) for dim, sq in per_cluster.items()}
 
 
 def _pair_abs_sum(index: NeighborhoodIndex, weights, dim_pos: int, dependent) -> float:
     """Sum of |w_i w_j| over within-cluster pairs, restricted to dependent pairs."""
-    lab = index.scheme.labels[dim_pos]
     if dependent is None:
-        sums = np.bincount(lab, weights=np.abs(weights))
-        return float((sums * sums).sum())
+        return float(pair_weight_sums(index, weights)[index.scheme.dims[dim_pos]].sum())
     total = 0.0
     for members in index.members[dim_pos]:
         w = np.abs(weights[members])
@@ -114,5 +112,4 @@ def rank_condition(X) -> float:
     if X.shape[0] < X.shape[1] and X.ndim == 2 and X.shape[0] == 1:
         X = X.T
     n = X.shape[0]
-    vals, _ = jacobi_eigh(X.T @ X / n)
-    return float(vals[0])
+    return smallest_eigenvalue(X.T @ X / n)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from mwclust.clusters import WeightedSample, build_index
-from mwclust.dgp import DgpSpec, draw, structure, true_bias_term
+from mwclust.dgp import DgpSpec, _stream, draw, structure, true_bias_term
 from mwclust.regression import RegressionData, Z_CRIT_95, fixed_design_inference
 from mwclust.variance import cgm_demeaned, cgm_raw
 
@@ -68,16 +68,11 @@ def ks_statistic(samples) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def _philox(seed: int, rep: int, comp: int) -> np.random.Generator:
-    counter = np.array([0, 0, rep, comp], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
-
-
 def _regressor(seed: int, rep: int, g, h, M: int) -> np.ndarray:
     """Regressor with cluster-level components so that clustering matters."""
-    da = _philox(seed, rep, COMP_D_ALPHA).standard_normal(M)
-    dg = _philox(seed, rep, COMP_D_GAMMA).standard_normal(M)
-    nu = _philox(seed, rep, COMP_D_NOISE).standard_normal(g.size)
+    da = _stream(seed, rep, COMP_D_ALPHA).standard_normal(M)
+    dg = _stream(seed, rep, COMP_D_GAMMA).standard_normal(M)
+    nu = _stream(seed, rep, COMP_D_NOISE).standard_normal(g.size)
     s = D_CLUSTER_SHARE
     return s * (da[g] + dg[h]) + nu
 

@@ -85,7 +85,7 @@ def _solve_pivoted(X: np.ndarray, Y: np.ndarray, names) -> np.ndarray:
     """Least squares via column-pivoted QR with rank diagnosis."""
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = RANK_LAMBDA_MIN * (diag.max() if diag.size else 0.0)
+    tol = PIVOT_RTOL * (diag.max() if diag.size else 0.0)
     bad = np.flatnonzero(diag <= tol)
     if diag.size == 0 or bad.size:
         col = int(piv[bad[0]]) if bad.size else 0

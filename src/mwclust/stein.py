@@ -47,44 +47,25 @@ def kolmogorov_bound(d_W: float) -> float:
     return _DK_COEF * math.sqrt(d_W)
 
 
-class _PairSummer:
-    """Fast per-replication pair sums over truly dependent pairs.
+def _dependent_adjacency(oracle: MomentOracle) -> np.ndarray:
+    if oracle.dependence_kind == "self":
+        return np.eye(oracle.scheme.n)
+    return oracle.adjacency().astype(float)
+
+
+def _dependent_sums(oracle: MomentOracle):
+    """Map x to t, where t_i sums x_j over i's truly dependent set (i included).
 
     Pairs are pruned by the true dependence indicator: for iid designs only
     the self pair survives, which is the minimal valid dependency
     neighborhood.
     """
-
-    def __init__(self, oracle: MomentOracle):
-        self.kind = oracle.dependence_kind
-        if self.kind == "neighborhood":
-            index = build_index(oracle.scheme)
-            self.g, self.h = oracle.scheme.labels
-            self.cell = index.cell_dense
-            self.sizes = (
-                index.cluster_sizes[0].size,
-                index.cluster_sizes[1].size,
-                index.n_cells,
-            )
-        elif self.kind == "custom":
-            self.B = oracle.adjacency().astype(float)
-
-    def neighbor_sums(self, x: np.ndarray) -> np.ndarray:
-        """t_i = sum of x_j over i's dependent set (including i)."""
-        if self.kind == "self":
-            return x
-        if self.kind == "custom":
-            return self.B @ x
-        sg = np.bincount(self.g, weights=x, minlength=self.sizes[0])
-        sh = np.bincount(self.h, weights=x, minlength=self.sizes[1])
-        sc = np.bincount(self.cell, weights=x, minlength=self.sizes[2])
-        return sg[self.g] + sh[self.h] - sc[self.cell]
-
-
-def _dependent_adjacency(oracle: MomentOracle) -> np.ndarray:
     if oracle.dependence_kind == "self":
-        return np.eye(oracle.scheme.n)
-    return oracle.adjacency().astype(float)
+        return lambda x: x
+    if oracle.dependence_kind == "custom":
+        B = _dependent_adjacency(oracle)
+        return lambda x: B @ x
+    return build_index(oracle.scheme).neighbor_sums
 
 
 def _analytic(oracle: MomentOracle) -> BoundReport:
@@ -116,14 +97,14 @@ def _analytic(oracle: MomentOracle) -> BoundReport:
 
 def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
     n = oracle.scheme.n
-    summer = _PairSummer(oracle)
+    dependent_sums = _dependent_sums(oracle)
     sigma_sq = oracle.true_Q
     u_sum = np.zeros(n)
     u_sumsq = np.zeros(n)
     T = np.empty(reps)
     for r in range(reps):
         x = draw(spec, r) - oracle.mean
-        t = summer.neighbor_sums(x)
+        t = dependent_sums(x)
         T[r] = float(x @ t)
         u = x * t * t
         u_sum += u

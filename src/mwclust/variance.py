@@ -2,7 +2,9 @@
 
 Two independent computation paths are kept for cross-checking: direct
 enumeration of neighborhoods, and inclusion-exclusion over the two one-way
-cluster sums minus the intersection-cell sum.
+cluster sums minus the intersection-cell sum. The inclusion-exclusion path
+reads the cluster sums from ``NeighborhoodIndex.cluster_sums``, the kernel
+that the bias term and the bounds share; pair enumeration shares none of it.
 """
 
 from __future__ import annotations
@@ -29,29 +31,10 @@ class VarianceEstimate:
     psd_projected: bool = False
 
 
-def _jacobi_rotate(a, v, p, q):
-    apq = a[p, q]
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    rp, rq = a[p].copy(), a[q].copy()
-    a[p, :] = c * rp - s * rq
-    a[q, :] = s * rp + c * rq
-    cp, cq = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * cp - s * cq
-    a[:, q] = s * cp + c * cq
-    a[p, q] = a[q, p] = 0.0
-    vp, vq = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (as columns) of a symmetric matrix.
 
-
-def jacobi_eigh(M, tol: float = 1e-14, max_sweeps: int = 100):
-    """Eigendecomposition of a small dense symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Raises on
-    asymmetric input.
+    LAPACK through numpy. Raises ValueError on non-square or asymmetric input.
     """
     a = np.array(M, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -59,27 +42,12 @@ def jacobi_eigh(M, tol: float = 1e-14, max_sweeps: int = 100):
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
-    a = 0.5 * (a + a.T)
-    k = a.shape[0]
-    v = np.eye(k)
-    if k == 1:
-        return a.diagonal().copy(), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                if abs(a[p, q]) > tol * scale:
-                    _jacobi_rotate(a, v, p, q)
-    vals = a.diagonal().copy()
-    order = np.argsort(vals)
-    return vals[order], v[:, order]
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def smallest_eigenvalue(M) -> float:
-    """Smallest eigenvalue of a symmetric matrix via the Jacobi solver."""
-    vals, _ = jacobi_eigh(M)
+    """Smallest eigenvalue of a symmetric matrix."""
+    vals, _ = symmetric_eigh(M)
     return float(vals[0])
 
 
@@ -89,14 +57,6 @@ def weighted_mean(sample: WeightedSample) -> np.ndarray:
     if total == 0:
         raise DegenerateWeightsError("weights sum to zero")
     return sample.omega @ sample.W / total
-
-
-def _cluster_outer(labels, n_clusters, V):
-    """Sum of outer products of per-cluster weighted sums."""
-    K = V.shape[1]
-    S = np.zeros((n_clusters, K))
-    np.add.at(S, labels, V)
-    return S.T @ S
 
 
 def _pair_enum(W, omega, index: NeighborhoodIndex) -> np.ndarray:
@@ -116,12 +76,8 @@ def _pair_enum(W, omega, index: NeighborhoodIndex) -> np.ndarray:
 
 
 def _inclusion_exclusion(W, omega, index: NeighborhoodIndex) -> np.ndarray:
-    V = omega[:, None] * W
-    g, h = index.scheme.labels
-    Q = _cluster_outer(g, index.cluster_sizes[0].size, V)
-    Q += _cluster_outer(h, index.cluster_sizes[1].size, V)
-    Q -= _cluster_outer(index.cell_dense, index.n_cells, V)
-    return Q
+    s_g, s_h, s_cell = index.cluster_sums(omega[:, None] * W)
+    return s_g.T @ s_g + s_h.T @ s_h - s_cell.T @ s_cell
 
 
 _METHODS = {
@@ -130,7 +86,8 @@ _METHODS = {
 }
 
 
-def _dof_factors(index: NeighborhoodIndex) -> float:
+def dof_factor(index: NeighborhoodIndex) -> float:
+    """Product over dimensions of C/(C-1), skipping dimensions with one cluster."""
     factor = 1.0
     for sizes in index.cluster_sizes:
         C = sizes.size
@@ -157,7 +114,7 @@ def cgm_raw(
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
     if dof_correction:
-        Q = Q * _dof_factors(index)
+        Q = Q * dof_factor(index)
     Q = 0.5 * (Q + Q.T)
     return VarianceEstimate(
         Q_hat=Q,
@@ -183,12 +140,16 @@ def cgm_demeaned(
     return mean, replace(est, demeaned=True)
 
 
+def psd_clip(M) -> np.ndarray:
+    """Clip the negative eigenvalues of a symmetric matrix at zero. Idempotent."""
+    vals, vecs = symmetric_eigh(M)
+    Q = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
+    return 0.5 * (Q + Q.T)
+
+
 def psd_project(est: VarianceEstimate) -> VarianceEstimate:
-    """Clip negative eigenvalues at zero. Idempotent."""
-    vals, vecs = jacobi_eigh(est.Q_hat)
-    clipped = np.clip(vals, 0.0, None)
-    Q = vecs @ np.diag(clipped) @ vecs.T
-    Q = 0.5 * (Q + Q.T)
+    """Clip negative eigenvalues of the estimate at zero. Idempotent."""
+    Q = psd_clip(est.Q_hat)
     return replace(
         est,
         Q_hat=Q,

@@ -69,6 +69,17 @@ class TestEstimate:
         assert code == 2
         assert "'d'" in err and "row 2" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_cell(self, tmp_path, capsys, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"y,d,g,h\n1.0,2.0,0,0\n{value},1.0,0,1\n3.0,0.5,1,1\n")
+        code, _, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"],
+            capsys,
+        )
+        assert code == 2
+        assert "row 3" in err and "'y'" in err and str(p) in err
+
     def test_collinear_design_exit_code(self, tmp_path, capsys):
         p = tmp_path / "collinear.csv"
         rows = ["y,d,c,g,h"]
@@ -287,6 +298,19 @@ class TestDiagnose:
         assert code == 0
         doc = check_report(out)
         assert doc["results"]["L_per_dim"]["g"] == pytest.approx(1.0 / 30.0)
+
+    @pytest.mark.parametrize("weight", ["0", "-1"])
+    @pytest.mark.parametrize("model", [[], ["--y", "y", "--d", "d"]])
+    def test_nonpositive_weight_rejected(self, tmp_path, capsys, weight, model):
+        p = tmp_path / "w.csv"
+        rows = ["y,d,g,h,w"] + [f"{i % 3}.5,{i % 5}.0,{i % 3},{i % 4},1.0" for i in range(11)]
+        rows.append(f"1.0,2.0,0,1,{weight}")
+        p.write_text("\n".join(rows) + "\n")
+        code, _, err = run_cli(
+            ["diagnose", "--data", str(p), "--cluster", "g,h", "--weight", "w", *model], capsys
+        )
+        assert code == 2
+        assert "row 13" in err and "'w'" in err
 
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli(["diagnose"], capsys)

@@ -11,6 +11,7 @@ from mwclust.clusters import (
     build_index,
     pair_weight_sums,
 )
+from mwclust.dgp import MomentOracle, true_bias_term
 
 
 def two_way(g, h):
@@ -109,12 +110,40 @@ class TestNeighborhoodIndex:
             for j in hoods[i]:
                 assert i in hoods[j]
 
+    @given(
+        st.sampled_from(["random", "singletons", "one-cluster", "one-way"]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_neighbor_sums_match_brute_force(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        g, h = {
+            "random": (rng.integers(0, 5, n), rng.integers(0, 5, n)),
+            "singletons": (np.arange(n), np.arange(n)),
+            "one-cluster": (np.zeros(n, dtype=int), np.zeros(n, dtype=int)),
+            "one-way": (np.zeros(n, dtype=int), np.arange(n)),
+        }[shape]
+        index = build_index(two_way(g, h))
+        x = rng.normal(size=(n, 2))
+        brute = np.array([x[(g == g[i]) | (h == h[i])].sum(axis=0) for i in range(n)])
+        np.testing.assert_allclose(index.neighbor_sums(x), brute, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(index.neighbor_sums(x[:, 0]), brute[:, 0], rtol=1e-12, atol=1e-12)
+        # the bias term against its definition as a loop over neighborhoods
+        mu = rng.normal(size=n) + 1.0
+        oracle = MomentOracle(
+            mean=mu, true_Q=1.0, scheme=index.scheme, gaussian=False,
+            dependence_kind="neighborhood", dependent=None,
+        )
+        loop = sum(mu[i] * mu[index.neighborhood(i)].sum() for i in range(n))
+        assert true_bias_term(oracle) == pytest.approx(loop, rel=1e-12, abs=1e-12)
+
 
 class TestPairWeightSums:
     def test_per_cluster_squared_sums(self):
         scheme = two_way([0, 0, 1], [0, 1, 2])
         index = build_index(scheme)
-        out = pair_weight_sums(index, np.array([1.0, 2.0, 3.0]), "per-cluster-L1-squared")
+        out = pair_weight_sums(index, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out["G"], [9.0, 9.0])
         np.testing.assert_allclose(out["H"], [1.0, 4.0, 9.0])
 
@@ -124,7 +153,7 @@ class TestPairWeightSums:
         h = rng.integers(0, 4, 30)
         w = rng.normal(size=30)
         index = build_index(two_way(g, h))
-        out = pair_weight_sums(index, w, "cross-pair-abs")
+        out = pair_weight_sums(index, w)
         for pos, dim in enumerate(("G", "H")):
             lab = (g, h)[pos]
             brute = sum(
@@ -133,9 +162,4 @@ class TestPairWeightSums:
                 for j in range(30)
                 if lab[i] == lab[j]
             )
-            assert out[dim] == pytest.approx(brute, rel=1e-12)
-
-    def test_unknown_mode(self):
-        index = build_index(two_way([0, 1], [0, 1]))
-        with pytest.raises(ValueError):
-            pair_weight_sums(index, np.ones(2), "nope")
+            assert out[dim].sum() == pytest.approx(brute, rel=1e-12)
