@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import fields as dc_fields
+from itertools import chain
 
 import numpy as np
 
@@ -126,40 +128,72 @@ def _dgp_from_config(cfg: dict) -> DgpSpec:
         raise ConfigError(f"invalid dgp spec: {exc}") from exc
 
 
-def _read_table(path: str, columns: list[str]):
-    """Read required columns from a comma-delimited UTF-8 file with a header."""
+def _read_table(path: str, columns: list[str]) -> dict[str, list[str]]:
+    """Read required columns from a comma-delimited UTF-8 file with a header.
+
+    Blank records are skipped and fields past the header are ignored. One
+    pass of ``csv.reader`` flattens the requested fields of every record into
+    a single list of strings; only when a record is short or a cell is empty
+    is the file read again, to name the first such cell.
+    """
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: missing header row")
         for col in columns:
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise DataError(f"{path}: missing required column {col!r}")
-        rows = {col: [] for col in columns}
-        for lineno, row in enumerate(reader, start=2):
-            for col in columns:
-                val = row.get(col)
-                if val is None or val == "":
-                    raise DataError(f"{path}: row {lineno}: missing value in column {col!r}")
-                rows[col].append(val)
-    if not rows[columns[0]]:
+        for col in columns:
+            if header.count(col) > 1:
+                raise DataError(f"{path}: column {col!r} appears more than once in the header")
+        names = list(dict.fromkeys(columns))
+        k = len(names)
+        get = operator.itemgetter(*(header.index(c) for c in names))
+        records = filter(None, reader)
+        try:
+            flat = list(map(get, records) if k == 1 else chain.from_iterable(map(get, records)))
+        except IndexError:
+            flat = None
+        if flat is None or "" in flat:
+            fh.seek(0)
+            _raise_first_missing(path, csv.reader(fh), columns)
+    if not flat:
         raise DataError(f"{path}: no data rows")
-    return rows
+    return {col: flat[j::k] for j, col in enumerate(names)}
+
+
+def _raise_first_missing(path: str, reader, columns: list[str]):
+    """Name the first short or empty required cell, rows first, then ``columns`` order.
+
+    Rows count non-blank records from 2, the header being row 1.
+    """
+    header = next(reader)
+    where = [(col, header.index(col)) for col in columns]
+    for lineno, row in enumerate(filter(None, reader), start=2):
+        for col, j in where:
+            if j >= len(row) or row[j] == "":
+                raise DataError(f"{path}: row {lineno}: missing value in column {col!r}")
+    raise DataError(f"{path}: changed while being read")
 
 
 def _floats(path: str, col: str, values: list[str]) -> np.ndarray:
-    out = np.empty(len(values))
-    for k, v in enumerate(values):
-        try:
-            out[k] = float(v)
-        except ValueError:
-            raise DataError(
-                f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}"
-            ) from None
+    """Parse a column with Python ``float`` semantics; every value must be finite."""
+    try:
+        out = np.fromiter(map(float, values), float, count=len(values))
+    except ValueError:
+        for k, v in enumerate(values):
+            try:
+                float(v)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}"
+                ) from None
+        raise
     if not np.isfinite(out).all():
         k = int(np.flatnonzero(~np.isfinite(out))[0])
         raise DataError(f"{path}: row {k + 2}: column {col!r}: not finite: {values[k]!r}")
@@ -484,7 +518,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SingularDesignError as exc:
+    except (SingularDesignError, FloatingPointError) as exc:
+        # FloatingPointError: a runtime cross-check of the fit failed, which
+        # happens on numerically ill-conditioned designs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 

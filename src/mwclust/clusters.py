@@ -64,21 +64,42 @@ class ClusterScheme:
             dims = tuple("GH"[i] if i < 2 else f"C{i}" for i in range(len(label_vectors)))
         dense = []
         values = []
-        n = None
         for dim, raw in zip(dims, label_vectors):
-            arr = np.asarray(raw)
-            if arr.ndim != 1:
-                raise SchemaError(f"labels for dimension {dim!r} must be one-dimensional")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
+            ids, uniq = _canonical(raw, dim)
+            if dense and ids.size != dense[0].size:
                 raise SchemaError(
-                    f"label vector for dimension {dim!r} has length {arr.size}, expected {n}"
+                    f"label vector for dimension {dim!r} has length {ids.size}, "
+                    f"expected {dense[0].size}"
                 )
-            uniq, inv = np.unique(arr, return_inverse=True)
-            dense.append(inv.astype(np.int64))
-            values.append(tuple(uniq.tolist()))
+            dense.append(ids)
+            values.append(uniq)
         return cls(dims=tuple(dims), labels=tuple(dense), label_values=tuple(values))
+
+
+def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
+    """Dense int64 ids and the sorted distinct values of one label vector.
+
+    The result is that of ``np.unique``. For a list of strings only the
+    distinct labels are sorted; labels with a trailing NUL, which numpy's
+    fixed-width strings drop, go through ``np.unique`` so that it keeps
+    deciding which labels are equal.
+    """
+    if isinstance(raw, list):
+        try:
+            distinct = dict.fromkeys(raw)
+        except TypeError:  # unhashable items, e.g. nested lists
+            distinct = None
+        if distinct is not None and all(
+            type(v) is str and not v.endswith("\0") for v in distinct
+        ):
+            uniq = sorted(distinct)
+            code = dict(zip(uniq, range(len(uniq))))
+            return np.fromiter(map(code.__getitem__, raw), np.int64, count=len(raw)), tuple(uniq)
+    arr = np.asarray(raw)
+    if arr.ndim != 1:
+        raise SchemaError(f"labels for dimension {dim!r} must be one-dimensional")
+    uniq, inv = np.unique(arr, return_inverse=True)
+    return inv.astype(np.int64), tuple(uniq.tolist())
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,9 @@ def _solve_pivoted(X: np.ndarray, Y: np.ndarray, names) -> np.ndarray:
     diag = np.abs(np.diag(r))
     tol = PIVOT_RTOL * (diag.max() if diag.size else 0.0)
     bad = np.flatnonzero(diag <= tol)
-    if diag.size == 0 or bad.size:
-        col = int(piv[bad[0]]) if bad.size else 0
+    if diag.size == 0 or bad.size or diag.size < X.shape[1]:
+        # with fewer rows than columns, the columns pivoted past the last row are dependent
+        col = int(piv[bad[0] if bad.size else diag.size]) if diag.size else 0
         name = names[col] if col < len(names) else f"column {col}"
         raise SingularDesignError(f"design matrix is rank deficient at column {name!r}")
     beta_perm = scipy.linalg.solve_triangular(r, q.T @ Y)

@@ -47,7 +47,11 @@ def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
 
 def smallest_eigenvalue(M) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    vals, _ = symmetric_eigh(M)
+    a = np.asarray(M, dtype=float)
+    if a.shape == (1, 1):
+        # the entry itself, as LAPACK returns it, without the call
+        return float(a[0, 0])
+    vals, _ = symmetric_eigh(a)
     return float(vals[0])
 
 

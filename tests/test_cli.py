@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +9,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mwclust.cli import main
+from mwclust.cli import DataError, _floats, _read_table, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "additive_re_m10.csv"
@@ -24,6 +29,76 @@ def check_report(text):
     doc = json.loads(text)
     jsonschema.validate(doc, SCHEMA)
     return doc
+
+
+def reference_read_table(path, columns):
+    """The row-at-a-time ``csv.DictReader`` loop that ``_read_table`` must match.
+
+    A column requested twice is read once (it used to be appended twice).
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: missing header row")
+        for col in columns:
+            if col not in reader.fieldnames:
+                raise DataError(f"{path}: missing required column {col!r}")
+        rows = {col: [] for col in columns}
+        for lineno, row in enumerate(reader, start=2):
+            for col in rows:
+                val = row.get(col)
+                if val is None or val == "":
+                    raise DataError(f"{path}: row {lineno}: missing value in column {col!r}")
+                rows[col].append(val)
+    if not rows[columns[0]]:
+        raise DataError(f"{path}: no data rows")
+    return rows
+
+
+def reference_floats(path, col, values):
+    """The one-``float``-per-cell loop that ``_floats`` must match."""
+    out = np.empty(len(values))
+    for k, v in enumerate(values):
+        try:
+            out[k] = float(v)
+        except ValueError:
+            raise DataError(f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}") from None
+    if not np.isfinite(out).all():
+        k = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise DataError(f"{path}: row {k + 2}: column {col!r}: not finite: {values[k]!r}")
+    return out
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the message of the ``DataError`` it raises."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# cell tokens: Python-float edge cases, non-numbers, empty cells, quoted
+# fields holding the delimiter, quotes and line breaks, non-ASCII labels
+CELLS = st.sampled_from(
+    ["1", "-2.5", "1_0", " 1.5 ", "1e5", "nan", "inf", "abc", "", "0", "a,b",
+     'say "hi"', "x\ny", "r\r\ns", "é", "3"]
+)
+RECORDS = st.lists(
+    st.one_of(
+        st.lists(CELLS, min_size=4, max_size=4),
+        st.lists(CELLS, min_size=0, max_size=6),  # blank, short and long records
+    ),
+    max_size=8,
+)
+HEADERS = st.sampled_from([["y", "d", "g", "h"], ["d", "y", "h", "g", "x"], ["y", "g", "h"], ["y"]])
+
+
+def csv_text(header, records, lineterminator):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(records)
+    return buf.getvalue()
 
 
 class TestEstimate:
@@ -79,6 +154,54 @@ class TestEstimate:
         )
         assert code == 2
         assert "row 3" in err and "'y'" in err and str(p) in err
+
+    def test_duplicate_required_header_rejected(self, tmp_path, capsys):
+        p = tmp_path / "dup.csv"
+        p.write_text("y,d,g,h,y\n1.0,2.0,0,0,5.0\n2.0,1.0,1,1,6.0\n3.0,0.5,0,1,7.0\n")
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {p}: column 'y' appears more than once in the header\n"
+
+    @pytest.mark.parametrize(
+        "seed, eps, message",
+        [
+            (0, 1e-4, "residualized variance and sandwich (1,1) element disagree beyond tolerance"),
+            (4, 1e-10, "normal-equation residual orthogonality check failed"),
+        ],
+    )
+    def test_failed_cross_check_exit_3(self, tmp_path, capsys, seed, eps, message):
+        # a control equal to d up to eps: the fit passes the rank tests, then
+        # one of its two runtime cross-checks fails (which one depends on the draw)
+        rng = np.random.default_rng(seed)
+        n = 60
+        g, h = rng.integers(0, 6, n), rng.integers(0, 5, n)
+        d = rng.normal(size=n)
+        x = d + eps * rng.normal(size=n)
+        y = d + rng.normal(size=n)
+        p = tmp_path / "near_collinear.csv"
+        rows = ["y,d,x,g,h"] + [
+            ",".join(map(repr, r)) for r in zip(y.tolist(), d.tolist(), x.tolist(), g.tolist(), h.tolist())
+        ]
+        p.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--controls", "x", "--cluster", "g,h"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_fewer_rows_than_regressors_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "short.csv"
+        p.write_text("y,d,g,h\n1.0,2.0,0,0\n")
+        code, _, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"],
+            capsys,
+        )
+        assert code == 3
+        assert "rank deficient" in err
 
     def test_collinear_design_exit_code(self, tmp_path, capsys):
         p = tmp_path / "collinear.csv"
@@ -157,6 +280,81 @@ class TestEstimate:
         )
         assert code == 0
         check_report(out)
+
+
+class TestIngest:
+    """The columnar reader against the row-at-a-time reference loops."""
+
+    FUZZ = settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @FUZZ
+    @given(
+        header=HEADERS,
+        records=RECORDS,
+        columns=st.sampled_from([["y", "d", "g", "h"], ["g", "h"], ["h", "y", "h"], ["g", "h", "y"]]),
+        lineterminator=st.sampled_from(["\n", "\r\n"]),
+        raw=st.none() | st.text(alphabet='yd,"\n\r 1.5e_an', max_size=60),  # any quoting, well formed or not
+    )
+    def test_read_table_and_floats_match_reference(
+        self, tmp_path, header, records, columns, lineterminator, raw
+    ):
+        p = tmp_path / "fuzz.csv"
+        text = csv_text(header, records, lineterminator) if raw is None else "y,d,g,h\n" + raw
+        p.write_text(text, encoding="utf-8", newline="")
+        got = outcome(_read_table, str(p), columns)
+        assert got == outcome(reference_read_table, str(p), columns)
+        if isinstance(got, dict):
+            for col in columns:
+                new = outcome(_floats, str(p), col, got[col])
+                ref = outcome(reference_floats, str(p), col, got[col])
+                if isinstance(new, str):
+                    assert new == ref
+                else:
+                    np.testing.assert_array_equal(new, ref)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing header row"),
+            ("y,d,g\n1,2,3\n", "missing required column 'h'"),
+            ("y,d,g,h\n\n\n", "no data rows"),
+            ("y,d,g,h\n1,2,3\n", "row 2: missing value in column 'h'"),
+            ("y,d,g,h\n1,2,3,4\n\n1,,3\n", "row 3: missing value in column 'd'"),
+            ('y,d,g,h\n"1\n2",2,3,4,5\n,2,3,4\n', "row 3: missing value in column 'y'"),
+        ],
+    )
+    def test_rejections_match_reference(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        columns = ["y", "d", "g", "h"]
+        got = outcome(_read_table, str(p), columns)
+        assert got == outcome(reference_read_table, str(p), columns) == f"DataError: {p}: {message}"
+
+    @FUZZ
+    @given(
+        header=st.sampled_from([["y", "d", "g", "h"], ["h", "g", "d", "y", "w"]]),
+        records=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(["1", "-0.5", "2e0", "0.25", "3", "7"]), min_size=5, max_size=5),
+                st.lists(CELLS, max_size=6),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_estimate_exit_codes_on_fuzzed_files(self, tmp_path, capsys, header, records):
+        p = tmp_path / "fuzz.csv"
+        p.write_text(csv_text(header, records, "\n"), encoding="utf-8", newline="")
+        base = ["--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
+        for argv in (["estimate", *base], ["estimate", *base, "--weight", "w", "--controls", "w"]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3)
+            if code == 0:
+                check_report(out)
+            else:
+                assert out == "" and err.startswith("error: ")
 
 
 class TestSimulate:
@@ -312,6 +510,11 @@ class TestDiagnose:
         assert code == 2
         assert "row 13" in err and "'w'" in err
 
+    def test_column_requested_twice_is_read_once(self, capsys):
+        code, out, _ = run_cli(["diagnose", "--data", str(DATA), "--cluster", "g,g"], capsys)
+        assert code == 0
+        assert check_report(out)["results"]["n"] == 100
+
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli(["diagnose"], capsys)
         assert code == 2
@@ -319,9 +522,12 @@ class TestDiagnose:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the package from this checkout, installed or not
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mwclust.cli", "diagnose"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwclust.clusters import (
@@ -27,6 +27,24 @@ class TestClusterScheme:
         assert sorted(set(g.tolist())) == [0, 1]
         assert g[0] == g[2] != g[1]
         assert h[0] == h[1] != h[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text(max_size=3), min_size=1, max_size=25).flatmap(
+            lambda g: st.tuples(
+                st.just(g),
+                st.lists(st.sampled_from(["日本", "é", "a", "a\0", "", "Z"]), min_size=len(g), max_size=len(g)),
+            )
+        )
+    )
+    @example((["only"] * 4, ["é"] * 4))
+    def test_string_labels_match_np_unique(self, labels):
+        scheme = ClusterScheme.from_labels(*labels)
+        for raw, ids, values in zip(labels, scheme.labels, scheme.label_values):
+            uniq, inv = np.unique(raw, return_inverse=True)
+            assert ids.dtype == np.int64
+            np.testing.assert_array_equal(ids, inv)
+            assert values == tuple(uniq.tolist())
 
     def test_drops_empty_label_values(self):
         scheme = ClusterScheme.from_labels([0, 5, 5], [1, 1, 2])

@@ -51,6 +51,11 @@ class TestJacobi:
         A = np.diag([3.0, -2.0, 1.0])
         assert smallest_eigenvalue(A) == pytest.approx(-2.0)
 
+    def test_smallest_eigenvalue_1x1_matches_lapack(self):
+        mags = np.geomspace(1e-300, 1e300, 2001)
+        for v in np.concatenate([mags, -mags, [0.0]]):
+            assert smallest_eigenvalue([[v]]) == symmetric_eigh([[v]])[0][0] == v
+
 
 class TestWeightedMean:
     def test_simple_average(self):
