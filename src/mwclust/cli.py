@@ -33,6 +33,7 @@ from mwclust.regression import (
     Z_CRIT_95,
     RegressionData,
     SingularDesignError,
+    _residual_ssd,
     fwl_residualize,
     theta_inference,
 )
@@ -142,29 +143,45 @@ def _read_table(path: str, columns: list[str]) -> dict[str, list[str]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: missing header row")
-        for col in columns:
-            if col not in header:
-                raise DataError(f"{path}: missing required column {col!r}")
-        for col in columns:
-            if header.count(col) > 1:
-                raise DataError(f"{path}: column {col!r} appears more than once in the header")
-        names = list(dict.fromkeys(columns))
-        k = len(names)
-        get = operator.itemgetter(*(header.index(c) for c in names))
-        records = filter(None, reader)
         try:
-            flat = list(map(get, records) if k == 1 else chain.from_iterable(map(get, records)))
-        except IndexError:
-            flat = None
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: missing header row")
+            for col in columns:
+                if col not in header:
+                    raise DataError(f"{path}: missing required column {col!r}")
+            for col in columns:
+                if header.count(col) > 1:
+                    raise DataError(f"{path}: column {col!r} appears more than once in the header")
+            names = list(dict.fromkeys(columns))
+            k = len(names)
+            get = operator.itemgetter(*(header.index(c) for c in names))
+            records = filter(None, reader)
+            try:
+                flat = list(map(get, records) if k == 1 else chain.from_iterable(map(get, records)))
+            except IndexError:
+                flat = None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: line {_undecodable_line(path)}: not valid UTF-8") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
         if flat is None or "" in flat:
             fh.seek(0)
             _raise_first_missing(path, csv.reader(fh), columns)
     if not flat:
         raise DataError(f"{path}: no data rows")
     return {col: flat[j::k] for j, col in enumerate(names)}
+
+
+def _undecodable_line(path: str) -> int:
+    """Line of the first byte that is not UTF-8; text decodes in blocks, ahead of ``line_num``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    raise DataError(f"{path}: changed while being read")
 
 
 def _raise_first_missing(path: str, reader, columns: list[str]):
@@ -181,8 +198,8 @@ def _raise_first_missing(path: str, reader, columns: list[str]):
     raise DataError(f"{path}: changed while being read")
 
 
-def _floats(path: str, col: str, values: list[str]) -> np.ndarray:
-    """Parse a column with Python ``float`` semantics; every value must be finite."""
+def _floats(path: str, col: str, values: list[str], scale=None) -> np.ndarray:
+    """Parse a column with Python ``float`` semantics, times ``scale``; each result must be finite."""
     try:
         out = np.fromiter(map(float, values), float, count=len(values))
     except ValueError:
@@ -194,9 +211,12 @@ def _floats(path: str, col: str, values: list[str]) -> np.ndarray:
                     f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}"
                 ) from None
         raise
+    if scale is not None:
+        out = out * scale
     if not np.isfinite(out).all():
         k = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise DataError(f"{path}: row {k + 2}: column {col!r}: not finite: {values[k]!r}")
+        weighted = "" if scale is None else " after weighting"
+        raise DataError(f"{path}: row {k + 2}: column {col!r}: not finite{weighted}: {values[k]!r}")
     return out
 
 
@@ -211,38 +231,35 @@ def _weights(path: str, col: str, values: list[str]) -> np.ndarray:
     return out
 
 
-def _build_regression(args) -> tuple[RegressionData, np.ndarray | None]:
+def _read_clustered(args, columns: list[str]) -> tuple[dict[str, list[str]], ClusterScheme]:
+    """Read ``columns``, the two ``--cluster`` columns and any ``--weight``; build the scheme."""
     cluster_cols = args.cluster.split(",")
     if len(cluster_cols) != 2:
         raise DataError("--cluster requires exactly two comma-separated columns")
-    control_cols = [c for c in (args.controls.split(",") if args.controls else []) if c]
-    columns = [args.y, args.d, *control_cols, *cluster_cols]
-    if args.weight:
-        columns.append(args.weight)
-    table = _read_table(args.data, columns)
-    Y = _floats(args.data, args.y, table[args.y])
-    D = _floats(args.data, args.d, table[args.d])
-    n = Y.size
-    controls = np.column_stack(
-        [np.ones(n)] + [_floats(args.data, c, table[c]) for c in control_cols]
-    )
+    table = _read_table(args.data, [*columns, *cluster_cols, *([args.weight] if args.weight else [])])
     scheme = ClusterScheme.from_labels(
         table[cluster_cols[0]], table[cluster_cols[1]], dims=tuple(cluster_cols)
     )
-    weight = _weights(args.data, args.weight, table[args.weight]) if args.weight else None
-    if weight is not None:
-        # analytic weights: rescale rows, clusters untouched
-        root = np.sqrt(weight)
-        Y = Y * root
-        D = D * root
-        controls = controls * root[:, None]
+    return table, scheme
+
+
+def _build_regression(args) -> RegressionData:
+    control_cols = [c for c in (args.controls.split(",") if args.controls else []) if c]
+    table, scheme = _read_clustered(args, [args.y, args.d, *control_cols])
+    # analytic weights: rescale rows, clusters untouched
+    root = np.sqrt(_weights(args.data, args.weight, table[args.weight])) if args.weight else None
+    Y = _floats(args.data, args.y, table[args.y], root)
+    D = _floats(args.data, args.d, table[args.d], root)
+    controls = np.column_stack(
+        [np.ones(Y.size) if root is None else root]
+        + [_floats(args.data, c, table[c], root) for c in control_cols]
+    )
     names = (args.d, "(intercept)", *control_cols)
-    data = RegressionData(Y=Y, D=D, controls=controls, scheme=scheme, column_names=names)
-    return data, weight
+    return RegressionData(Y=Y, D=D, controls=controls, scheme=scheme, column_names=names)
 
 
 def cmd_estimate(args) -> int:
-    data, _ = _build_regression(args)
+    data = _build_regression(args)
     index = build_index(data.scheme)
     res = theta_inference(data, index)
     warnings = list(res.warnings)
@@ -429,22 +446,13 @@ def cmd_diagnose(args) -> int:
         return EXIT_OK
     if not args.data or not args.cluster:
         raise ConfigError("diagnose requires either --config or --data with --cluster")
-    cluster_cols = args.cluster.split(",")
-    if len(cluster_cols) != 2:
-        raise DataError("--cluster requires exactly two comma-separated columns")
     if args.d:
-        data, _ = _build_regression(args)
+        data = _build_regression(args)
         index = build_index(data.scheme)
-        D_tilde, _ = fwl_residualize(data)
-        weights = D_tilde
+        weights, _ = fwl_residualize(data)
+        _residual_ssd(data, weights)
     else:
-        columns = list(cluster_cols)
-        if args.weight:
-            columns.append(args.weight)
-        table = _read_table(args.data, columns)
-        scheme = ClusterScheme.from_labels(
-            table[cluster_cols[0]], table[cluster_cols[1]], dims=tuple(cluster_cols)
-        )
+        table, scheme = _read_clustered(args, [])
         index = build_index(scheme)
         weights = (
             _weights(args.data, args.weight, table[args.weight])

@@ -191,8 +191,9 @@ class NeighborhoodIndex:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return [np.bincount(lab, weights=x, minlength=m) for lab, m in self._groups]
+        cols = np.ascontiguousarray(x.T)  # one transposing copy, not one strided copy per column
         return [
-            np.column_stack([np.bincount(lab, weights=col, minlength=m) for col in x.T])
+            np.column_stack([np.bincount(lab, weights=col, minlength=m) for col in cols])
             for lab, m in self._groups
         ]
 

@@ -29,6 +29,9 @@ _M3 = {"gaussian": 0.0, "centered-exponential": 2.0, "rademacher": 0.0}
 # Component ids for counter-based stream separation within a replication.
 COMP_ALPHA, COMP_GAMMA, COMP_EPS = 0, 1, 2
 
+# Loadings of the two shared components on the three members of a triple block.
+_TRIPLE_PATTERNS = (np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0]))
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -74,18 +77,23 @@ class MomentOracle:
     dependence_kind: str  # "neighborhood" | "self" | "custom"
     dependent: callable  # vectorized pair predicate (i, j) -> bool
     third_moment: callable | None = None  # (i, j, k) -> float, additive designs only
-    # closed-form sum of E[X_i X_j X_k] over j, k in i's dependency
+    # entry i: closed-form sum of E[X_i X_j X_k] over j, k in i's dependency
     # neighborhood (the triple enumeration collapsed by shared-component
     # counting); additive designs only
-    third_inner_sum: callable | None = None
-    _cov_builder: callable = None
-    _cov: np.ndarray = field(default=None, repr=False)
+    third_inner_sum: np.ndarray | None = None
+    _factor_builder: callable = None
+    _factor: tuple = field(default=None, repr=False)
+
+    def cov_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(F, e)`` with covariance ``F @ F.T + diag(e)``; F has O(M) columns (built lazily)."""
+        if self._factor is None:
+            self._factor = self._factor_builder()
+        return self._factor
 
     def cov(self) -> np.ndarray:
-        """Dense n-by-n covariance of the observations (built lazily)."""
-        if self._cov is None:
-            self._cov = self._cov_builder()
-        return self._cov
+        """Dense n-by-n covariance of the observations, for checks at small n."""
+        F, e = self.cov_factor()
+        return F @ F.T + np.diag(e)
 
     def adjacency(self) -> np.ndarray:
         """Dense boolean matrix of truly dependent pairs."""
@@ -169,14 +177,6 @@ def structure(spec: DgpSpec):
         m3g = _M3[spec.dist_gamma] * sg**3
         m3e = _M3[spec.dist_eps] * se**3
 
-        def cov_builder():
-            same_g = g[:, None] == g[None, :]
-            same_h = h[:, None] == h[None, :]
-            C = np.where(same_g, sa[g][:, None] * sa[g][None, :], 0.0)
-            C += np.where(same_h, sg[h][:, None] * sg[h][None, :], 0.0)
-            C[np.diag_indices(n)] += se**2
-            return C
-
         def third_moment(i, j, k):
             val = 0.0
             if g[i] == g[j] == g[k]:
@@ -187,13 +187,6 @@ def structure(spec: DgpSpec):
                 val += m3e[i]
             return val
 
-        def third_inner_sum(i):
-            return float(
-                m3a[g[i]] * sizes_g[g[i]] ** 2
-                + m3g[h[i]] * sizes_h[h[i]] ** 2
-                + m3e[i]
-            )
-
         gaussian = {spec.dist_alpha, spec.dist_gamma, spec.dist_eps} == {"gaussian"}
         oracle = MomentOracle(
             mean=mean,
@@ -203,25 +196,20 @@ def structure(spec: DgpSpec):
             dependence_kind="neighborhood",
             dependent=_shared_cluster_predicate(scheme),
             third_moment=third_moment,
-            third_inner_sum=third_inner_sum,
-            _cov_builder=cov_builder,
+            third_inner_sum=m3a[g] * sizes_g[g] ** 2 + m3g[h] * sizes_h[h] ** 2 + m3e,
+            # one column per random effect: F = [Z_g diag(sa) | Z_h diag(sg)]
+            _factor_builder=lambda: (np.hstack([np.eye(M)[g] * sa, np.eye(M)[h] * sg]), se**2),
         )
         return scheme, oracle
 
     if spec.variant == "iid-conservative":
         m3e = _M3[spec.dist_eps] * se**3
 
-        def cov_builder():
-            return np.diag(se**2)
-
         def dependent(i, j):
             return np.asarray(i) == np.asarray(j)
 
         def third_moment(i, j, k):
             return float(m3e[i]) if i == j == k else 0.0
-
-        def third_inner_sum(i):
-            return float(m3e[i])
 
         oracle = MomentOracle(
             mean=mean,
@@ -231,17 +219,13 @@ def structure(spec: DgpSpec):
             dependence_kind="self",
             dependent=dependent,
             third_moment=third_moment,
-            third_inner_sum=third_inner_sum,
-            _cov_builder=cov_builder,
+            third_inner_sum=m3e,
+            _factor_builder=lambda: (np.empty((n, 0)), se**2),
         )
         return scheme, oracle
 
     # interactive-chaos: uncorrelated but within-row/column dependent
     var_i = sa[g] ** 2 * sg[h] ** 2
-
-    def cov_builder():
-        return np.diag(var_i)
-
     oracle = MomentOracle(
         mean=mean,
         true_Q=float(var_i.sum()),
@@ -249,7 +233,7 @@ def structure(spec: DgpSpec):
         gaussian=False,  # products of normals are not normal
         dependence_kind="neighborhood",
         dependent=_shared_cluster_predicate(scheme),
-        _cov_builder=cov_builder,
+        _factor_builder=lambda: (np.empty((n, 0)), var_i),
     )
     return scheme, oracle
 
@@ -270,14 +254,6 @@ def _triple_structure(spec: DgpSpec):
         skip = (np.minimum(pos[i], pos[j]) == 0) & (np.maximum(pos[i], pos[j]) == 2)
         return same_block & ~skip
 
-    block_cov = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
-
-    def cov_builder():
-        C = np.zeros((n, n))
-        for b in range(blocks):
-            C[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = block_cov
-        return C
-
     gaussian = {spec.dist_alpha, spec.dist_gamma} == {"gaussian"}
     oracle = MomentOracle(
         mean=mean,
@@ -286,7 +262,11 @@ def _triple_structure(spec: DgpSpec):
         gaussian=gaussian,
         dependence_kind="custom" if spec.triple_one_way else "neighborhood",
         dependent=dependent,
-        _cov_builder=cov_builder,
+        # block covariance [[1,1,0],[1,2,1],[0,1,1]]: one column per block component
+        _factor_builder=lambda: (
+            np.hstack([np.eye(blocks)[block] * np.tile(p, blocks)[:, None] for p in _TRIPLE_PATTERNS]),
+            np.zeros(n),
+        ),
     )
     return scheme, oracle
 
@@ -298,8 +278,7 @@ def draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
         a = _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
         c = _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
         block = np.repeat(np.arange(M), 3)
-        pattern_a = np.tile(np.array([1.0, 1.0, 0.0]), M)
-        pattern_c = np.tile(np.array([0.0, 1.0, 1.0]), M)
+        pattern_a, pattern_c = (np.tile(p, M) for p in _TRIPLE_PATTERNS)
         mean = np.tile(np.array([1.0, -1.0, 1.0]), M)
         return mean + a[block] * pattern_a + c[block] * pattern_c
 

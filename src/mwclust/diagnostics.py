@@ -47,7 +47,8 @@ def leverage_L(index: NeighborhoodIndex, weights) -> dict[str, float]:
     weights = np.asarray(weights, dtype=float)
     if not np.any(weights):
         raise ValueError("weights are all zero")
-    per_cluster = pair_weight_sums(index, weights)
+    # scaling by a power of two is exact, and keeps the squared sums finite
+    per_cluster = pair_weight_sums(index, np.ldexp(weights, -np.frexp(np.abs(weights).max())[1]))
     return {dim: float(sq.max() / sq.sum()) for dim, sq in per_cluster.items()}
 
 

@@ -123,23 +123,38 @@ def fwl_residualize(data: RegressionData):
     return data.D - Wc @ gamma_d, data.Y - Wc @ gamma_y
 
 
+def _score_sample(scores: np.ndarray) -> WeightedSample:
+    """Per-observation scores (n-by-K) as a unit-weight sample; they overflow on extreme data."""
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("regression scores overflow double precision")
+    return WeightedSample(W=scores, omega=np.ones(scores.shape[0]))
+
+
 def _clustered_slope_variance(u, D_tilde, index: NeighborhoodIndex) -> float:
     """Pair sum of u_i u_j Dt_i Dt_j over neighborhoods, over (sum Dt^2)^2."""
-    scores = WeightedSample(W=(u * D_tilde)[:, None], omega=np.ones(len(u)))
-    num = float(cgm_raw(scores, index).Q_hat[0, 0])
+    num = float(cgm_raw(_score_sample((u * D_tilde)[:, None]), index).Q_hat[0, 0])
     denom = float(D_tilde @ D_tilde)
-    return num / denom**2
+    try:
+        return num / denom**2
+    except OverflowError:  # denom**2 is out of range; dividing twice is not
+        return num / denom / denom
+
+
+def _residual_ssd(data: RegressionData, D_tilde) -> float:
+    """Sum of squares of the residualized regressor; raises when it vanishes."""
+    ssd = float(D_tilde @ D_tilde)
+    if ssd <= RANK_LAMBDA_MIN * max(1.0, float(data.D @ data.D)):
+        raise SingularDesignError(
+            "regressor of interest has no residual variation after partialling out controls"
+        )
+    return ssd
 
 
 def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Slope inference treating the regressors as nonstochastic."""
     beta = ols_fit(data)
     D_tilde, Y_tilde = fwl_residualize(data)
-    ssd = float(D_tilde @ D_tilde)
-    if ssd <= RANK_LAMBDA_MIN * max(1.0, float(data.D @ data.D)):
-        raise SingularDesignError(
-            "regressor of interest has no residual variation after partialling out controls"
-        )
+    ssd = _residual_ssd(data, D_tilde)
     theta = float(D_tilde @ Y_tilde / ssd)
     u_hat = Y_tilde - D_tilde * theta
     sigma_sq = _clustered_slope_variance(u_hat, D_tilde, index)
@@ -190,8 +205,7 @@ def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) 
         raise SingularDesignError("X'X/n is near singular; rank condition fails")
     beta = ols_fit(data)
     u_hat = data.Y - X @ beta
-    scores = WeightedSample(W=X * u_hat[:, None], omega=np.ones(n))
-    Q_hat = cgm_raw(scores, index).Q_hat
+    Q_hat = cgm_raw(_score_sample(X * u_hat[:, None]), index).Q_hat
     S_inv = np.linalg.inv(S)
     V_hat = S_inv @ Q_hat @ S_inv
     D_tilde, _ = fwl_residualize(data)
@@ -207,7 +221,7 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
     fixed = fixed_design_inference(data, index)
     full = stochastic_design_inference(data, index)
     scale = max(abs(fixed.sigma_sq), abs(full.sigma_sq), 1e-300)
-    if abs(fixed.sigma_sq - full.sigma_sq) > 1e-8 * scale:
+    if not abs(fixed.sigma_sq - full.sigma_sq) <= 1e-8 * scale:  # NaN fails too
         raise FloatingPointError(
             "residualized variance and sandwich (1,1) element disagree beyond tolerance"
         )

@@ -47,23 +47,16 @@ def kolmogorov_bound(d_W: float) -> float:
     return _DK_COEF * math.sqrt(d_W)
 
 
-def _dependent_adjacency(oracle: MomentOracle) -> np.ndarray:
-    if oracle.dependence_kind == "self":
-        return np.eye(oracle.scheme.n)
-    return oracle.adjacency().astype(float)
-
-
 def _dependent_sums(oracle: MomentOracle):
-    """Map x to t, where t_i sums x_j over i's truly dependent set (i included).
+    """Map x (n or n-by-K) to Bx, B the symmetric 0/1 true-dependence matrix, diagonal included.
 
     Pairs are pruned by the true dependence indicator: for iid designs only
-    the self pair survives, which is the minimal valid dependency
-    neighborhood.
+    the self pair survives, which is the minimal valid dependency neighborhood.
     """
     if oracle.dependence_kind == "self":
         return lambda x: x
     if oracle.dependence_kind == "custom":
-        B = _dependent_adjacency(oracle)
+        B = oracle.adjacency().astype(float)
         return lambda x: B @ x
     return build_index(oracle.scheme).neighbor_sums
 
@@ -77,14 +70,14 @@ def _analytic(oracle: MomentOracle) -> BoundReport:
     # odd moments of symmetric Gaussian components vanish identically
     term_third = 0.0
     if oracle.third_inner_sum is not None:
-        term_third = sum(
-            abs(oracle.third_inner_sum(i)) for i in range(oracle.scheme.n)
-        ) / sigma_sq**1.5
-    B = _dependent_adjacency(oracle)
-    C = oracle.cov()
-    BC = B @ C
-    var_pair_sum = 2.0 * float(np.einsum("ij,ji->", BC, BC))
-    term_var = _VAR_COEF * math.sqrt(var_pair_sum) / sigma_sq
+        term_third = float(np.abs(oracle.third_inner_sum).sum()) / sigma_sq**1.5
+    # Gaussian fourth moments give Var(x'Bx) = 2 tr(BCBC); with C = FF' + diag(e)
+    # and B symmetric 0/1 that trace is |F'BF|^2 + 2 sum_i e_i |(BF)_i|^2 + e'Be
+    F, e = oracle.cov_factor()
+    B = _dependent_sums(oracle)
+    BF = B(F)
+    tr_BCBC = float(np.square(F.T @ BF).sum() + 2.0 * (e @ np.square(BF).sum(axis=1)) + e @ B(e))
+    term_var = _VAR_COEF * math.sqrt(2.0 * tr_BCBC) / sigma_sq
     d_W = term_third + term_var
     return BoundReport(
         term_third=term_third,

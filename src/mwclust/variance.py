@@ -34,11 +34,14 @@ class VarianceEstimate:
 def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (as columns) of a symmetric matrix.
 
-    LAPACK through numpy. Raises ValueError on non-square or asymmetric input.
+    LAPACK through numpy. Raises ValueError on non-square or asymmetric input
+    and FloatingPointError on a non-finite entry, such as an overflowed sum.
     """
     a = np.array(M, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite matrix entry: the data overflow double precision")
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")

@@ -247,6 +247,54 @@ class TestEstimate:
         assert code == 3
         assert "c1" in err or "c2" in err
 
+    def test_weighted_value_overflow_names_cell(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("y,d,g,h,w\n1,2,a,b,1\n1e300,2,a,c,1e300\n3,1,b,b,2\n5,7,b,c,1\n")
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h", "--weight", "w"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {p}: row 3: column 'y': not finite after weighting: '1e300'\n"
+
+    def test_finite_overflow_exit_3(self, tmp_path, capsys):
+        # every weighted cell is finite, but (sum of squared residualized
+        # regressor)^2 and the score cross-products are not
+        p = tmp_path / "huge.csv"
+        p.write_text(
+            "y,d,g,h,w\n0.25,0.25,1e300,0.25,1e300\n1e300,1,2e0,1,0.25\n-0.5,1,3,2e0,1e300\n"
+            "7,2e0,2e0,2e0,2e0\n-1e-300,-0.5,-1e-300,2e0,3\n3,7,-1e-300,0.25,1\n0.25,0.25,3,0.25,1e300\n"
+        )
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h", "--weight", "w"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert "overflow double precision" in err
+
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            (
+                "1e300,3,1,2e0,1\n7,2e0,7,1e300,1\n0.25,-0.5,1,-0.5,1\n2e0,2e0,0.25,3,1\n",
+                [],
+                "overflow double precision",
+            ),
+            ("1e300,-1e-300,0.25,7,1\n1,3,-1e-300,7,1\n", [], "disagree beyond tolerance"),
+            ("1e300,2e0,0.25,-1e-300,1\n3,-1e-300,0.25,1,0.25\n", ["--weight", "w"], "disagree beyond tolerance"),
+        ],
+        ids=["scores", "nan-variance", "nan-variance-weighted"],
+    )
+    def test_overflowing_variance_exit_3(self, tmp_path, capsys, text, extra, message):
+        # finite cells whose products overflow: exit 3, not a NaN or Infinity report
+        p = tmp_path / "huge.csv"
+        p.write_text("y,d,g,h,w\n" + text)
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h", *extra], capsys
+        )
+        assert (code, out) == (3, "")
+        assert message in err
+
     def test_string_cluster_labels_accepted(self, tmp_path, capsys):
         p = tmp_path / "strings.csv"
         rng = np.random.default_rng(0)
@@ -332,29 +380,80 @@ class TestIngest:
         got = outcome(_read_table, str(p), columns)
         assert got == outcome(reference_read_table, str(p), columns) == f"DataError: {p}: {message}"
 
-    @FUZZ
-    @given(
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"y,d,g,h\n1,2,a,b\n3,4,a,c\n5,\xff6,b,b\n", "line 4: not valid UTF-8"),
+            (
+                b"y,d,g,h\n1,2,a,b\n3,4,a," + b"x" * 140_000 + b"\n",
+                "line 3: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["undecodable", "oversized"],
+    )
+    @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d"], ["diagnose"]])
+    def test_unreadable_record_names_line(self, tmp_path, capsys, content, message, command):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(content)
+        code, out, err = run_cli([*command, "--data", str(p), "--cluster", "g,h"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {p}: {message}\n"
+
+    def test_undecodable_line_past_the_first_block(self, tmp_path, capsys):
+        # text files decode in blocks; the line named is the bad byte's own
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"g,h\n" + b"a,b\n" * 5000 + b"a,\xe9\n" + b"a,b\n" * 5000)
+        code, _, err = run_cli(["diagnose", "--data", str(p), "--cluster", "g,h"], capsys)
+        assert code == 2
+        assert err == f"error: {p}: line 5002: not valid UTF-8\n"
+
+    # well-formed numeric records, extreme magnitudes included, or arbitrary cells
+    FUZZ_FILES = dict(
         header=st.sampled_from([["y", "d", "g", "h"], ["h", "g", "d", "y", "w"]]),
         records=st.lists(
             st.one_of(
-                st.lists(st.sampled_from(["1", "-0.5", "2e0", "0.25", "3", "7"]), min_size=5, max_size=5),
+                st.lists(
+                    st.sampled_from(["1", "-0.5", "2e0", "0.25", "3", "7", "1e300", "-1e-300"]),
+                    min_size=5,
+                    max_size=5,
+                ),
                 st.lists(CELLS, max_size=6),
             ),
             max_size=12,
         ),
     )
-    def test_estimate_exit_codes_on_fuzzed_files(self, tmp_path, capsys, header, records):
+
+    @staticmethod
+    def check_exit_codes(tmp_path, capsys, header, records, variants):
         p = tmp_path / "fuzz.csv"
         p.write_text(csv_text(header, records, "\n"), encoding="utf-8", newline="")
-        base = ["--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
-        for argv in (["estimate", *base], ["estimate", *base, "--weight", "w", "--controls", "w"]):
-            code = main(argv)
+        for argv in variants:
+            code = main([argv[0], "--data", str(p), "--cluster", "g,h", *argv[1:]])
             out, err = capsys.readouterr()
             assert code in (0, 2, 3)
             if code == 0:
                 check_report(out)
+                json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
             else:
                 assert out == "" and err.startswith("error: ")
+
+    @FUZZ
+    @given(**FUZZ_FILES)
+    def test_estimate_exit_codes_on_fuzzed_files(self, tmp_path, capsys, header, records):
+        model = ["estimate", "--y", "y", "--d", "d"]
+        self.check_exit_codes(
+            tmp_path, capsys, header, records,
+            [model, [*model, "--weight", "w"], [*model, "--weight", "w", "--controls", "w"]],
+        )
+
+    @FUZZ
+    @given(**FUZZ_FILES)
+    def test_diagnose_exit_codes_on_fuzzed_files(self, tmp_path, capsys, header, records):
+        model = ["diagnose", "--y", "y", "--d", "d"]
+        self.check_exit_codes(
+            tmp_path, capsys, header, records,
+            [["diagnose"], ["diagnose", "--weight", "w"], model, [*model, "--weight", "w", "--controls", "w"]],
+        )
 
 
 class TestSimulate:
@@ -509,6 +608,15 @@ class TestDiagnose:
         )
         assert code == 2
         assert "row 13" in err and "'w'" in err
+
+    def test_no_residual_variation_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text("y,d,g,h\n1,2,a,b\n")
+        base = ["--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
+        code, out, err = run_cli(["diagnose", *base], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: regressor of interest has no residual variation after partialling out controls\n"
+        assert run_cli(["estimate", *base], capsys)[0] == 3
 
     def test_column_requested_twice_is_read_once(self, capsys):
         code, out, _ = run_cli(["diagnose", "--data", str(DATA), "--cluster", "g,g"], capsys)

@@ -25,6 +25,56 @@ class TestDgpSpec:
             DgpSpec(variant="interactive-chaos", cell_size=2)
 
 
+def reference_cov(spec: DgpSpec) -> np.ndarray:
+    """The dense covariance builders that the low-rank factor replaced."""
+    scheme, _ = structure(spec)
+    n = scheme.n
+    g, h = scheme.labels
+    if spec.variant == "nonzero-mean-triple":
+        block_cov = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+        C = np.zeros((n, n))
+        for b in range(spec.M):
+            C[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = block_cov
+        return C
+    sa = spec.sigma_alpha * (1.0 + np.arange(spec.M) / spec.M if spec.hetero_alpha else np.ones(spec.M))
+    sg = spec.sigma_gamma * (1.0 + np.arange(spec.M) / spec.M if spec.hetero_gamma else np.ones(spec.M))
+    se = spec.sigma_eps * (1.0 + np.arange(n) / n if spec.hetero_eps else np.ones(n))
+    if spec.variant == "iid-conservative":
+        return np.diag(se**2)
+    if spec.variant == "interactive-chaos":
+        return np.diag(sa[g] ** 2 * sg[h] ** 2)
+    same_g = g[:, None] == g[None, :]
+    same_h = h[:, None] == h[None, :]
+    C = np.where(same_g, sa[g][:, None] * sa[g][None, :], 0.0)
+    C += np.where(same_h, sg[h][:, None] * sg[h][None, :], 0.0)
+    C[np.diag_indices(n)] += se**2
+    return C
+
+
+class TestCovFactor:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(variant="additive-re", M=4),
+            DgpSpec(
+                variant="additive-re", M=3, cell_size=3, sigma_alpha=0.5, sigma_gamma=3.0,
+                sigma_eps=0.2, hetero_alpha=True, hetero_gamma=True, hetero_eps=True,
+            ),
+            DgpSpec(variant="iid-conservative", M=3, cell_size=2, hetero_eps=True),
+            DgpSpec(variant="interactive-chaos", M=4, sigma_alpha=2.0, hetero_gamma=True),
+            DgpSpec(variant="nonzero-mean-triple", M=4),
+            DgpSpec(variant="nonzero-mean-triple", M=2, triple_one_way=True),
+        ],
+        ids=["additive", "additive-hetero-cell3", "iid", "chaos", "triple", "triple-one-way"],
+    )
+    def test_cov_matches_dense_builder(self, spec):
+        _, oracle = structure(spec)
+        F, e = oracle.cov_factor()
+        assert F.shape[0] == e.shape[0] == oracle.scheme.n
+        assert F.shape[1] <= 2 * spec.M
+        np.testing.assert_allclose(oracle.cov(), reference_cov(spec), rtol=1e-15, atol=0.0)
+
+
 class TestStructure:
     def test_additive_true_q_closed_form_m2(self):
         # 2x2 grid, unit scales: 2 clusters of size 2 per dimension plus 4
@@ -78,11 +128,11 @@ class TestStructure:
             brute = sum(
                 oracle.third_moment(i, int(j), int(k)) for j in nbrs for k in nbrs
             )
-            assert oracle.third_inner_sum(i) == pytest.approx(brute, rel=1e-12)
+            assert oracle.third_inner_sum[i] == pytest.approx(brute, rel=1e-12)
 
     def test_gaussian_designs_have_zero_third_moments(self):
         _, oracle = structure(DgpSpec(variant="additive-re", M=3))
-        assert all(oracle.third_inner_sum(i) == 0.0 for i in range(9))
+        assert all(oracle.third_inner_sum[i] == 0.0 for i in range(9))
 
 
 class TestTriple:

@@ -48,6 +48,16 @@ class TestLeverage:
             leverage_L(index, np.zeros(2))
 
 
+    def test_huge_weights_do_not_overflow(self):
+        # squared cluster sums of 1e300 weights exceed the float range; the
+        # shares do not, and are invariant to the scale
+        index = index_for(["a", "a", "b"], ["b", "c", "b"])
+        assert leverage_L(index, [1e300, 1e300, 2e300]) == leverage_L(index, [1.0, 1.0, 2.0]) == {
+            "G": 0.5,
+            "H": 0.9,
+        }
+
+
 class TestAssumptionRatios:
     def test_oracle_mode_exact_ratio(self):
         # 3x3 grid, unit weights, every within-cluster pair dependent:

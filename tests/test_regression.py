@@ -8,6 +8,7 @@ from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     Z_CRIT_95,
+    _clustered_slope_variance,
     fixed_design_inference,
     fwl_residualize,
     ols_fit,
@@ -141,6 +142,15 @@ class TestFixedDesign:
         assert res.sigma_sq < 0
         assert res.ci_95 is None and res.t_stat is None and res.sigma_hat is None
         assert res.warnings
+
+    def test_squared_denominator_overflow_does_not_raise(self):
+        # sum of D_tilde^2 near 1e201 is finite, its square is not; the
+        # variance scales as 1/c^2 when D_tilde is scaled by c
+        D = np.array([1.0, -2.0, 3.0, -1.0])
+        index = build_index(ClusterScheme.from_labels([0, 0, 1, 1], [0, 1, 0, 1]))
+        unit = _clustered_slope_variance(np.ones(4), D, index)
+        huge = _clustered_slope_variance(np.ones(4), D * 1e100, index)
+        assert unit > 0 and huge == pytest.approx(unit * 1e-200, rel=1e-12)
 
     def test_ci_is_symmetric_with_pinned_critical_value(self):
         rng = np.random.default_rng(4)

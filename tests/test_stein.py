@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from mwclust.stein import (
     kolmogorov_bound,
     wasserstein_bound,
 )
+
+
+def spec_id(spec: DgpSpec) -> str:
+    """Short test id: the fields that differ from their defaults."""
+    default = DgpSpec(variant=spec.variant)
+    changed = (f"{k}={v}" for k, v in vars(spec).items() if k != "variant" and v != getattr(default, k))
+    return ",".join([spec.variant, *changed])
 
 
 class TestKolmogorovConversion:
@@ -51,6 +59,55 @@ class TestAnalytic:
         var = 2.0 * np.trace(B @ C @ B @ C)
         expect = math.sqrt(2.0 / math.pi) * math.sqrt(var) / oracle.true_Q
         assert rep.term_var == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(DgpSpec(variant="additive-re", M=M) for M in (1, 2, 8, 32)),
+            *(
+                DgpSpec(
+                    variant="additive-re", M=M, cell_size=cell, sigma_alpha=0.3,
+                    sigma_gamma=2.0, sigma_eps=0.7, hetero_alpha=True,
+                    hetero_gamma=True, hetero_eps=True,
+                )
+                for M, cell in ((3, 1), (32, 1), (3, 3), (16, 3))
+            ),
+            DgpSpec(variant="additive-re", M=5, cell_size=3, sigma_eps=0.0),
+            DgpSpec(variant="iid-conservative", M=7, cell_size=3, hetero_eps=True),
+            DgpSpec(variant="nonzero-mean-triple", M=6),
+            DgpSpec(variant="nonzero-mean-triple", M=6, triple_one_way=True),
+            DgpSpec(variant="nonzero-mean-triple", M=32),
+        ],
+        ids=spec_id,
+    )
+    def test_closed_form_matches_dense_trace(self, spec):
+        # 2 tr(BCBC) from the dense dependence matrix and covariance
+        _, oracle = structure(spec)
+        B = oracle.adjacency().astype(float)
+        BC = B @ oracle.cov()
+        dense = math.sqrt(2.0 / math.pi) * math.sqrt(2.0 * np.trace(BC @ BC)) / oracle.true_Q
+        assert wasserstein_bound(spec).term_var == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["additive-re", "iid-conservative"])
+    def test_allocates_no_n_by_n_array(self, variant):
+        M = 64
+        n = M * M
+        tracemalloc.start()
+        try:
+            wasserstein_bound(DgpSpec(variant=variant, M=M, hetero_alpha=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2  # half of one dense float matrix
+
+    def test_reaches_n_16384(self):
+        # a dense n-by-n matrix at M=128 would take 2 GB
+        coarse, fine = (
+            wasserstein_bound(DgpSpec(variant="additive-re", M=M, hetero_alpha=True))
+            for M in (64, 128)
+        )
+        assert math.isfinite(fine.d_W_bound)
+        assert 0.0 < fine.d_W_bound < coarse.d_W_bound
 
     def test_non_gaussian_design_refused(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,11 @@ class TestJacobi:
         with pytest.raises(ValueError):
             symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(FloatingPointError):
+            smallest_eigenvalue(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_identity(self):
         vals, vecs = symmetric_eigh(np.eye(3))
         np.testing.assert_array_equal(vals, np.ones(3))
