@@ -19,9 +19,9 @@ from itertools import chain
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, WeightedSample, build_index
+from mwclust.clusters import ClusterScheme, build_index
 from mwclust.dgp import DgpSpec, draw, structure, true_bias_term
-from mwclust.diagnostics import assumption_ratios, leverage_L, rank_condition
+from mwclust.diagnostics import assumption_ratios, leverage_L
 from mwclust.harness import (
     INTERCEPT_TRUE,
     THETA_TRUE,
@@ -30,15 +30,15 @@ from mwclust.harness import (
     run_coverage,
 )
 from mwclust.regression import (
-    Z_CRIT_95,
     RegressionData,
     SingularDesignError,
+    _finish_scalar,
     _residual_ssd,
     fwl_residualize,
     theta_inference,
 )
 from mwclust.stein import wasserstein_bound
-from mwclust.variance import cgm_raw, dof_factor, psd_clip
+from mwclust.variance import dof_factor, psd_clip
 
 SCHEMA_VERSION = 1
 
@@ -262,34 +262,28 @@ def cmd_estimate(args) -> int:
     data = _build_regression(args)
     index = build_index(data.scheme)
     res = theta_inference(data, index)
-    warnings = list(res.warnings)
+    warnings = list(res.warnings)  # those of the raw variance
     sigma_sq = res.sigma_sq
     V = res.V_hat
     if args.dof_correction:
         factor = dof_factor(index)
         sigma_sq *= factor
         V = V * factor
-    if args.psd_project and V is not None:
+    if args.psd_project:
         V = psd_clip(V)
         sigma_sq = max(sigma_sq, 0.0)
-    negative = sigma_sq < 0
-    sigma = float(np.sqrt(sigma_sq)) if not negative else None
-    ci = (
-        [res.theta_hat - Z_CRIT_95 * sigma, res.theta_hat + Z_CRIT_95 * sigma]
-        if sigma is not None
-        else None
-    )
-    diag = _data_diagnostics(data, index, res, warnings)
+    fin = _finish_scalar(res.beta_hat, res.theta_hat, sigma_sq, res.residuals, res.D_tilde, V)
+    diag = _data_diagnostics(index, res, warnings)
     results = {
         "n": data.n,
         "theta_hat": res.theta_hat,
-        "sigma_hat": sigma,
+        "sigma_hat": fin.sigma_hat,
         "sigma_sq": sigma_sq,
-        "t_stat": (res.theta_hat / sigma) if sigma else None,
-        "ci_95": ci,
+        "t_stat": fin.t_stat,
+        "ci_95": fin.ci_95,
         "beta_hat": res.beta_hat,
-        "V_hat_diag": np.diag(V) if V is not None else None,
-        "negative_variance": bool(negative),
+        "V_hat_diag": np.diag(V),
+        "negative_variance": fin.negative_variance,
         "diagnostics": diag,
     }
     echo = {
@@ -306,17 +300,11 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _data_diagnostics(data: RegressionData, index, res, warnings: list[str]) -> dict:
-    report = None
-    lam = None
+def _data_diagnostics(index, res, warnings: list[str]) -> dict | None:
+    """Data-mode diagnostics from the pass's score pair sum and X'X/n eigenvalue."""
     try:
-        scores = res.residuals * res.D_tilde
-        est = cgm_raw(
-            WeightedSample(W=scores[:, None], omega=np.ones(data.n)), index
-        )
-        lam = est.lambda_min
-        if lam > 0:
-            report = assumption_ratios(index, res.D_tilde, lam).to_dict()
+        if res.score_pair_sum > 0:
+            report = assumption_ratios(index, res.D_tilde, res.score_pair_sum).to_dict()
         else:
             report = {"L_per_dim": leverage_L(index, res.D_tilde)}
             warnings.append(
@@ -324,13 +312,9 @@ def _data_diagnostics(data: RegressionData, index, res, warnings: list[str]) -> 
             )
     except ValueError as exc:
         warnings.append(f"diagnostics unavailable: {exc}")
-    rank = rank_condition(data.X)
-    if report is not None:
-        report["rank_lambda"] = rank
-        for w in report.get("warnings", []):
-            if w not in warnings:
-                warnings.append(w)
-        report.pop("warnings", None)
+        return None
+    report["rank_lambda"] = res.rank_lambda
+    warnings.extend(w for w in report.pop("warnings", []) if w not in warnings)
     return report
 
 
@@ -522,7 +506,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow surfaces through the explicit finiteness checks, as exit 2 or 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

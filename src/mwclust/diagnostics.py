@@ -52,10 +52,8 @@ def leverage_L(index: NeighborhoodIndex, weights) -> dict[str, float]:
     return {dim: float(sq.max() / sq.sum()) for dim, sq in per_cluster.items()}
 
 
-def _pair_abs_sum(index: NeighborhoodIndex, weights, dim_pos: int, dependent) -> float:
-    """Sum of |w_i w_j| over within-cluster pairs, restricted to dependent pairs."""
-    if dependent is None:
-        return float(pair_weight_sums(index, weights)[index.scheme.dims[dim_pos]].sum())
+def _dependent_abs_sum(index: NeighborhoodIndex, weights, dim_pos: int, dependent) -> float:
+    """Sum of |w_i w_j| over the within-cluster pairs of one dimension that are dependent."""
     total = 0.0
     for members in index.members[dim_pos]:
         w = np.abs(weights[members])
@@ -83,10 +81,14 @@ def assumption_ratios(
         raise ValueError("Q_reference must be positive")
     weights = np.asarray(weights, dtype=float)
     L = leverage_L(index, weights)
-    ratio_23 = {
-        dim: _pair_abs_sum(index, weights, pos, dependent) / Q_reference
-        for pos, dim in enumerate(index.scheme.dims)
-    }
+    if dependent is None:
+        pair_sums = {dim: float(sq.sum()) for dim, sq in pair_weight_sums(index, weights).items()}
+    else:
+        pair_sums = {
+            dim: _dependent_abs_sum(index, weights, pos, dependent)
+            for pos, dim in enumerate(index.scheme.dims)
+        }
+    ratio_23 = {dim: total / Q_reference for dim, total in pair_sums.items()}
     warnings = []
     for dim, val in L.items():
         if val > warn_threshold:

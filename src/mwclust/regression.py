@@ -1,9 +1,10 @@
 """OLS with partialling-out and cluster-robust inference.
 
-The slope of interest is always recoverable from the residualized
-regression; the clustered variance of that slope agrees numerically with
-the (1,1) element of the full sandwich, and both identities are asserted
-where cheap.
+The slope's clustered variance from the residualized (FWL) regression equals
+the (1,1) element of the full two-way sandwich. ``theta_inference`` fits once
+and forms one pair sum over the stacked scores [u_hat * D_tilde | X * u]: its
+first diagonal entry gives the residualized variance, the rest the sandwich
+meat, and the two routes are cross-checked.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class InferenceResult:
     D_tilde: np.ndarray
     negative_variance: bool = False
     warnings: list[str] = field(default_factory=list)
+    score_pair_sum: float | None = None  # pair sum of u_hat * D_tilde, sigma_sq's numerator
+    rank_lambda: float | None = None  # smallest eigenvalue of X'X/n
 
 
 def _solve_pivoted(X: np.ndarray, Y: np.ndarray, names) -> np.ndarray:
@@ -123,107 +126,125 @@ def fwl_residualize(data: RegressionData):
     return data.D - Wc @ gamma_d, data.Y - Wc @ gamma_y
 
 
-def _score_sample(scores: np.ndarray) -> WeightedSample:
-    """Per-observation scores (n-by-K) as a unit-weight sample; they overflow on extreme data."""
+def _pair_sum(scores: np.ndarray, index: NeighborhoodIndex) -> np.ndarray:
+    """Pair sum of the per-observation scores (n-by-K); they overflow on extreme data."""
     if not np.isfinite(scores).all():
         raise FloatingPointError("regression scores overflow double precision")
-    return WeightedSample(W=scores, omega=np.ones(scores.shape[0]))
+    return cgm_raw(WeightedSample(W=scores, omega=np.ones(scores.shape[0])), index).Q_hat
 
 
-def _clustered_slope_variance(u, D_tilde, index: NeighborhoodIndex) -> float:
-    """Pair sum of u_i u_j Dt_i Dt_j over neighborhoods, over (sum Dt^2)^2."""
-    num = float(cgm_raw(_score_sample((u * D_tilde)[:, None]), index).Q_hat[0, 0])
-    denom = float(D_tilde @ D_tilde)
+def _slope_variance(pair_sum: float, ssd: float) -> float:
+    """Residualized slope variance: the pair sum of u_i Dt_i u_j Dt_j over (sum Dt^2)^2."""
     try:
-        return num / denom**2
-    except OverflowError:  # denom**2 is out of range; dividing twice is not
-        return num / denom / denom
+        return pair_sum / ssd**2
+    except OverflowError:  # ssd**2 is out of range; dividing twice is not
+        return pair_sum / ssd / ssd
 
 
 def _residual_ssd(data: RegressionData, D_tilde) -> float:
-    """Sum of squares of the residualized regressor; raises when it vanishes."""
+    """Sum of squares of the residualized regressor; raises when it vanishes or overflows.
+
+    The relative test reads D and D_tilde scaled by one power of two, which is
+    exact and keeps their sums of squares finite.
+    """
     ssd = float(D_tilde @ D_tilde)
-    if ssd <= RANK_LAMBDA_MIN * max(1.0, float(data.D @ data.D)):
+    e = -np.frexp(np.abs(data.D).max())[1]
+    d, dt = np.ldexp(data.D, e), np.ldexp(D_tilde, e)
+    if ssd <= RANK_LAMBDA_MIN or dt @ dt <= RANK_LAMBDA_MIN * (d @ d):
         raise SingularDesignError(
             "regressor of interest has no residual variation after partialling out controls"
+        )
+    if not np.isfinite(ssd):
+        raise FloatingPointError(
+            "sum of squares of the residualized regressor overflows double precision"
         )
     return ssd
 
 
-def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
-    """Slope inference treating the regressors as nonstochastic."""
+def _fwl_fit(data: RegressionData):
+    """(beta, D_tilde, ssd, theta, u_hat): the long fit, then the residualized slope and residuals."""
     beta = ols_fit(data)
     D_tilde, Y_tilde = fwl_residualize(data)
     ssd = _residual_ssd(data, D_tilde)
     theta = float(D_tilde @ Y_tilde / ssd)
-    u_hat = Y_tilde - D_tilde * theta
-    sigma_sq = _clustered_slope_variance(u_hat, D_tilde, index)
-    return _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde)
+    return beta, D_tilde, ssd, theta, Y_tilde - D_tilde * theta
 
 
-def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None) -> InferenceResult:
-    warnings = []
-    if sigma_sq < 0:
-        # Estimated variance can be negative in finite samples; surface it,
-        # do not clip, and refuse to form a CI.
-        warnings.append("estimated variance is negative; confidence interval suppressed")
-        return InferenceResult(
-            beta_hat=beta,
-            theta_hat=theta,
-            sigma_sq=sigma_sq,
-            sigma_hat=None,
-            V_hat=V_hat,
-            t_stat=None,
-            ci_95=None,
-            residuals=u_hat,
-            D_tilde=D_tilde,
-            negative_variance=True,
-            warnings=warnings,
-        )
-    sigma = float(np.sqrt(sigma_sq))
-    t_stat = theta / sigma if sigma > 0 else None
+def _gram(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """X'X and the smallest eigenvalue of X'X/n; raises when the rank condition fails."""
+    S = X.T @ X
+    rank_lambda = smallest_eigenvalue(S / X.shape[0])
+    if rank_lambda <= RANK_LAMBDA_MIN:
+        raise SingularDesignError("X'X/n is near singular; rank condition fails")
+    return S, rank_lambda
+
+
+def _sandwich(S: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """S^-1 Q S^-1: the covariance of the coefficients, with bread X'X and meat Q."""
+    S_inv = np.linalg.inv(S)
+    return S_inv @ Q @ S_inv
+
+
+def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) -> InferenceResult:
+    """Standard error, t statistic and 95% interval of the slope from its variance.
+
+    A negative variance can occur in finite samples; it is surfaced, not
+    clipped, and no interval is formed.
+    """
+    negative = sigma_sq < 0
+    sigma = None if negative else float(np.sqrt(sigma_sq))
     return InferenceResult(
-        beta_hat=beta,
-        theta_hat=theta,
-        sigma_sq=sigma_sq,
-        sigma_hat=sigma,
-        V_hat=V_hat,
-        t_stat=t_stat,
-        ci_95=(theta - Z_CRIT_95 * sigma, theta + Z_CRIT_95 * sigma),
-        residuals=u_hat,
-        D_tilde=D_tilde,
-        warnings=warnings,
+        beta_hat=beta, theta_hat=theta, sigma_sq=sigma_sq, sigma_hat=sigma, V_hat=V_hat,
+        t_stat=theta / sigma if sigma else None,
+        ci_95=None if sigma is None else (theta - Z_CRIT_95 * sigma, theta + Z_CRIT_95 * sigma),
+        residuals=u_hat, D_tilde=D_tilde, negative_variance=negative,
+        warnings=["estimated variance is negative; confidence interval suppressed"] if negative else [],
+        **health,
     )
+
+
+def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
+    """Slope inference treating the regressors as nonstochastic."""
+    beta, D_tilde, ssd, theta, u_hat = _fwl_fit(data)
+    pair_sum = float(_pair_sum((u_hat * D_tilde)[:, None], index)[0, 0])
+    sigma_sq = _slope_variance(pair_sum, ssd)
+    return _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, score_pair_sum=pair_sum)
 
 
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Full sandwich inference treating the regressors as random."""
     X = data.X
-    n = data.n
-    S = X.T @ X
-    if smallest_eigenvalue(S / n) <= RANK_LAMBDA_MIN:
-        raise SingularDesignError("X'X/n is near singular; rank condition fails")
+    S, rank_lambda = _gram(X)
     beta = ols_fit(data)
     u_hat = data.Y - X @ beta
-    Q_hat = cgm_raw(_score_sample(X * u_hat[:, None]), index).Q_hat
-    S_inv = np.linalg.inv(S)
-    V_hat = S_inv @ Q_hat @ S_inv
+    V_hat = _sandwich(S, _pair_sum(X * u_hat[:, None], index))
     D_tilde, _ = fwl_residualize(data)
-    return _finish_scalar(beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat)
+    return _finish_scalar(
+        beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat, rank_lambda=rank_lambda
+    )
 
 
 def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Slope inference via the residualized route, cross-checked against the sandwich.
 
-    Asserts the numeric identity between the (1,1) element of the full
+    One fit and one pair sum over the stacked scores [u_hat * D_tilde | X * u];
+    asserts the numeric identity between the (1,1) element of the full
     sandwich and the residualized variance formula.
     """
-    fixed = fixed_design_inference(data, index)
-    full = stochastic_design_inference(data, index)
-    scale = max(abs(fixed.sigma_sq), abs(full.sigma_sq), 1e-300)
-    if not abs(fixed.sigma_sq - full.sigma_sq) <= 1e-8 * scale:  # NaN fails too
+    beta, D_tilde, ssd, theta, u_hat = _fwl_fit(data)
+    X = data.X
+    S, rank_lambda = _gram(X)
+    scores = np.vstack([u_hat * D_tilde, X.T * (data.Y - X @ beta)])  # one score per row
+    Q = _pair_sum(scores.T, index)  # a view whose columns cluster_sums reads without a copy
+    pair_sum = float(Q[0, 0])
+    sigma_sq = _slope_variance(pair_sum, ssd)
+    V_hat = _sandwich(S, Q[1:, 1:])
+    scale = max(abs(sigma_sq), abs(float(V_hat[0, 0])), 1e-300)
+    if not abs(sigma_sq - float(V_hat[0, 0])) <= 1e-8 * scale:  # NaN fails too
         raise FloatingPointError(
             "residualized variance and sandwich (1,1) element disagree beyond tolerance"
         )
-    fixed.V_hat = full.V_hat
-    return fixed
+    return _finish_scalar(
+        beta, theta, sigma_sq, u_hat, D_tilde, V_hat=V_hat,
+        score_pair_sum=pair_sum, rank_lambda=rank_lambda,
+    )

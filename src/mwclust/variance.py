@@ -104,15 +104,11 @@ def dof_factor(index: NeighborhoodIndex) -> float:
 
 
 def cgm_raw(
-    sample: WeightedSample,
-    index: NeighborhoodIndex,
-    method: str = "inclusion-exclusion",
-    dof_correction: bool = False,
+    sample: WeightedSample, index: NeighborhoodIndex, method: str = "inclusion-exclusion"
 ) -> VarianceEstimate:
     """Sum omega_i omega_j W_i W_j' over all dependent ordered pairs.
 
-    ``dof_correction`` applies a multiplicative C/(C-1) factor per dimension;
-    it is off by default and excluded from cross-path equivalence checks.
+    No small-sample factor is applied; ``dof_factor`` gives the C/(C-1) one.
     """
     if index.n != sample.n:
         raise SchemaError(f"index has n={index.n} but sample has n={sample.n}")
@@ -120,8 +116,6 @@ def cgm_raw(
         Q = _METHODS[method](sample.W, sample.omega, index)
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
-    if dof_correction:
-        Q = Q * dof_factor(index)
     Q = 0.5 * (Q + Q.T)
     return VarianceEstimate(
         Q_hat=Q,
@@ -131,19 +125,14 @@ def cgm_raw(
     )
 
 
-def cgm_demeaned(
-    sample: WeightedSample,
-    index: NeighborhoodIndex,
-    method: str = "inclusion-exclusion",
-    dof_correction: bool = False,
-):
+def cgm_demeaned(sample: WeightedSample, index: NeighborhoodIndex, method: str = "inclusion-exclusion"):
     """Recentre at the weighted mean, then apply the raw pair-sum estimator.
 
     Returns (mean, VarianceEstimate).
     """
     mean = weighted_mean(sample)
     centered = WeightedSample(W=sample.W - mean, omega=sample.omega)
-    est = cgm_raw(centered, index, method=method, dof_correction=dof_correction)
+    est = cgm_raw(centered, index, method=method)
     return mean, replace(est, demeaned=True)
 
 

@@ -9,10 +9,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mwclust.cli import DataError, _floats, _read_table, main
+from mwclust.clusters import NeighborhoodIndex
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "additive_re_m10.csv"
@@ -115,6 +117,28 @@ class TestEstimate:
         # the shipped dataset was generated with a unit slope
         assert abs(res["theta_hat"] - 1.0) <= 3 * res["sigma_hat"]
         assert res["ci_95"][0] < res["theta_hat"] < res["ci_95"][1]
+
+    def test_one_fit_and_one_score_pair_sum(self, monkeypatch, capsys):
+        # one estimate fits once (3 QRs: the long fit, then D and Y on the
+        # controls) and sums over clusters 3 times (the stacked scores, the
+        # leverage and the ratio diagnostics)
+        calls = {"qr": 0, "cluster_sums": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "qr", counted("qr", scipy.linalg.qr))
+        monkeypatch.setattr(
+            NeighborhoodIndex, "cluster_sums", counted("cluster_sums", NeighborhoodIndex.cluster_sums)
+        )
+        code, _, _ = run_cli(
+            ["estimate", "--data", str(DATA), "--y", "y", "--d", "d", "--cluster", "g,h"], capsys
+        )
+        assert code == 0
+        assert calls["qr"] <= 3 and calls["cluster_sums"] <= 3
 
     def test_missing_column_is_data_error(self, capsys):
         code, _, err = run_cli(
@@ -247,6 +271,7 @@ class TestEstimate:
         assert code == 3
         assert "c1" in err or "c2" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weighted_value_overflow_names_cell(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         p.write_text("y,d,g,h,w\n1,2,a,b,1\n1e300,2,a,c,1e300\n3,1,b,b,2\n5,7,b,c,1\n")
@@ -257,6 +282,7 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert err == f"error: {p}: row 3: column 'y': not finite after weighting: '1e300'\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_overflow_exit_3(self, tmp_path, capsys):
         # every weighted cell is finite, but (sum of squared residualized
         # regressor)^2 and the score cross-products are not
@@ -272,6 +298,7 @@ class TestEstimate:
         assert code == 3 and out == ""
         assert "overflow double precision" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "text, extra, message",
         [
@@ -280,8 +307,8 @@ class TestEstimate:
                 [],
                 "overflow double precision",
             ),
-            ("1e300,-1e-300,0.25,7,1\n1,3,-1e-300,7,1\n", [], "disagree beyond tolerance"),
-            ("1e300,2e0,0.25,-1e-300,1\n3,-1e-300,0.25,1,0.25\n", ["--weight", "w"], "disagree beyond tolerance"),
+            ("1e300,-1e-300,0.25,7,1\n1,3,-1e-300,7,1\n", [], "overflow double precision"),
+            ("1e300,2e0,0.25,-1e-300,1\n3,-1e-300,0.25,1,0.25\n", ["--weight", "w"], "overflow double precision"),
         ],
         ids=["scores", "nan-variance", "nan-variance-weighted"],
     )
@@ -437,6 +464,7 @@ class TestIngest:
             else:
                 assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @FUZZ
     @given(**FUZZ_FILES)
     def test_estimate_exit_codes_on_fuzzed_files(self, tmp_path, capsys, header, records):
@@ -446,6 +474,7 @@ class TestIngest:
             [model, [*model, "--weight", "w"], [*model, "--weight", "w", "--controls", "w"]],
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @FUZZ
     @given(**FUZZ_FILES)
     def test_diagnose_exit_codes_on_fuzzed_files(self, tmp_path, capsys, header, records):
@@ -617,6 +646,17 @@ class TestDiagnose:
         assert (code, out) == (3, "")
         assert err == "error: regressor of interest has no residual variation after partialling out controls\n"
         assert run_cli(["estimate", *base], capsys)[0] == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_residual_ssd_exit_3(self, tmp_path, capsys):
+        # d varies hugely; its sum of squares overflows, which is not "no residual variation"
+        p = tmp_path / "huge.csv"
+        p.write_text("y,d,g,h\n1,1e300,a,b\n2,-1e300,a,c\n3,2e300,b,b\n4,5,b,c\n")
+        code, out, err = run_cli(
+            ["diagnose", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "overflows double precision" in err and "residual variation" not in err
 
     def test_column_requested_twice_is_read_once(self, capsys):
         code, out, _ = run_cli(["diagnose", "--data", str(DATA), "--cluster", "g,g"], capsys)

@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwclust.clusters import ClusterScheme, build_index
+from mwclust.clusters import ClusterScheme, WeightedSample, build_index
+from mwclust.diagnostics import rank_condition
 from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     Z_CRIT_95,
-    _clustered_slope_variance,
+    _residual_ssd,
+    _slope_variance,
     fixed_design_inference,
     fwl_residualize,
     ols_fit,
     stochastic_design_inference,
     theta_inference,
 )
+from mwclust.variance import cgm_raw
 
 
 def make_data(Y, D, controls, g, h, names=()):
@@ -112,6 +115,19 @@ class TestFwl:
         with pytest.raises(SingularDesignError):
             fixed_design_inference(data, index)
 
+    def test_huge_regressor_is_not_mistaken_for_constant(self):
+        # D'D overflows while D varies: the relative test reads exactly scaled copies
+        c = np.sqrt(7e306)  # D'D = 31 c^2 overflows, the residual ssd 18.75 c^2 does not
+        D = c * np.array([1.0, -1.0, 2.0, 5.0])
+        data = make_data(np.arange(4.0), D, np.ones((4, 1)), np.arange(4), np.arange(4))
+        ssd = _residual_ssd(data, fwl_residualize(data)[0])
+        assert ssd == pytest.approx(18.75 * c * c, rel=1e-12)
+        # when the residual ssd itself overflows, the error says so
+        D = np.array([1e300, -1e300, 2e300, 5.0])
+        data = make_data(np.arange(4.0), D, np.ones((4, 1)), np.arange(4), np.arange(4))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflows double"):
+            _residual_ssd(data, fwl_residualize(data)[0])
+
 
 class TestFixedDesign:
     def test_perfect_fit_zero_variance(self):
@@ -148,8 +164,12 @@ class TestFixedDesign:
         # variance scales as 1/c^2 when D_tilde is scaled by c
         D = np.array([1.0, -2.0, 3.0, -1.0])
         index = build_index(ClusterScheme.from_labels([0, 0, 1, 1], [0, 1, 0, 1]))
-        unit = _clustered_slope_variance(np.ones(4), D, index)
-        huge = _clustered_slope_variance(np.ones(4), D * 1e100, index)
+
+        def variance(Dt):  # unit residuals: the scores are Dt itself
+            pair_sum = cgm_raw(WeightedSample(W=Dt[:, None], omega=np.ones(4)), index).Q_hat[0, 0]
+            return _slope_variance(float(pair_sum), float(Dt @ Dt))
+
+        unit, huge = variance(D), variance(D * 1e100)
         assert unit > 0 and huge == pytest.approx(unit * 1e-200, rel=1e-12)
 
     def test_ci_is_symmetric_with_pinned_critical_value(self):
@@ -241,3 +261,23 @@ class TestThetaInference:
         u = Y - Y.mean() - (D - D.mean()) * 1.0
         expect = float((u**2 * D**2).sum() / (D @ D) ** 2)
         assert res.sigma_sq == pytest.approx(expect, rel=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_carries_score_pair_sum_and_rank_lambda(self, seed):
+        # the data-mode diagnostics read these two numbers off the result
+        rng = np.random.default_rng(seed)
+        data = random_regression(rng)
+        index = build_index(data.scheme)
+        res = theta_inference(data, index)
+        scores = WeightedSample(W=(res.residuals * res.D_tilde)[:, None], omega=np.ones(data.n))
+        assert res.score_pair_sum == pytest.approx(
+            cgm_raw(scores, index).Q_hat[0, 0], rel=1e-12, abs=1e-300
+        )
+        assert res.rank_lambda == rank_condition(data.X)
+        full = stochastic_design_inference(data, index)
+        np.testing.assert_allclose(res.V_hat, full.V_hat, rtol=1e-12, atol=1e-15)
+        assert full.rank_lambda == res.rank_lambda
+        assert fixed_design_inference(data, index).score_pair_sum == pytest.approx(
+            res.score_pair_sum, rel=1e-12
+        )

@@ -8,6 +8,7 @@ from mwclust.variance import (
     DegenerateWeightsError,
     cgm_demeaned,
     cgm_raw,
+    dof_factor,
     psd_project,
     smallest_eigenvalue,
     symmetric_eigh,
@@ -134,12 +135,13 @@ class TestCgmRaw:
 
     def test_dof_correction_factor(self):
         rng = np.random.default_rng(7)
-        sample, index, _, _ = random_instance(rng)
-        base = cgm_raw(sample, index).Q_hat
-        corrected = cgm_raw(sample, index, dof_correction=True).Q_hat
+        _, index, _, _ = random_instance(rng)
         cg, ch = (s.size for s in index.cluster_sizes)
-        factor = (cg / (cg - 1)) * (ch / (ch - 1))
-        np.testing.assert_allclose(corrected, base * factor, rtol=1e-12)
+        assert dof_factor(index) == pytest.approx((cg / (cg - 1)) * (ch / (ch - 1)), rel=1e-15)
+        # a dimension with a single cluster contributes no factor
+        one_g = build_index(ClusterScheme.from_labels([0, 0, 0, 0], [0, 1, 2, 2]))
+        assert dof_factor(one_g) == 3 / 2
+        assert dof_factor(build_index(ClusterScheme.from_labels([0, 0], [0, 0]))) == 1.0
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
