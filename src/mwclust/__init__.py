@@ -29,9 +29,8 @@ from mwclust.diagnostics import (
     DiagnosticsReport,
     assumption_ratios,
     leverage_L,
-    rank_condition,
 )
-from mwclust.dgp import DgpSpec, MomentOracle, generate, structure, true_bias_term
+from mwclust.dgp import DgpSpec, MomentOracle, structure, true_bias_term
 from mwclust.stein import BoundReport, kolmogorov_bound, wasserstein_bound
 from mwclust.harness import McReport, ks_statistic, run_consistency, run_coverage
 
@@ -54,14 +53,12 @@ __all__ = [
     "cgm_raw",
     "fixed_design_inference",
     "fwl_residualize",
-    "generate",
     "kolmogorov_bound",
     "ks_statistic",
     "leverage_L",
     "ols_fit",
     "pair_weight_sums",
     "psd_project",
-    "rank_condition",
     "run_consistency",
     "run_coverage",
     "smallest_eigenvalue",

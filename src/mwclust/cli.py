@@ -14,21 +14,15 @@ import csv
 import json
 import operator
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import fields as dc_fields, replace
 from itertools import chain
 
 import numpy as np
 
 from mwclust.clusters import ClusterScheme, build_index
-from mwclust.dgp import DgpSpec, draw, structure, true_bias_term
+from mwclust.dgp import DgpSpec, structure, true_bias_term
 from mwclust.diagnostics import assumption_ratios, leverage_L
-from mwclust.harness import (
-    INTERCEPT_TRUE,
-    THETA_TRUE,
-    _regressor,
-    run_consistency,
-    run_coverage,
-)
+from mwclust.harness import regression_replication, run_consistency, run_coverage
 from mwclust.regression import (
     RegressionData,
     SingularDesignError,
@@ -374,18 +368,12 @@ def _trace_csv(trace: list[dict]) -> str:
 def _write_replication(path: str, spec: DgpSpec, seed: int) -> dict:
     """Write replication 0 as a dataset and return its in-memory estimates."""
     scheme, _ = structure(spec)
+    data = regression_replication(replace(spec, seed=seed), scheme, 0)
     g, h = scheme.labels
-    W = draw(DgpSpec(**{**spec.__dict__, "seed": seed}), 0)
-    D = _regressor(seed, 0, g, h, spec.M)
-    Y = THETA_TRUE * D + INTERCEPT_TRUE + W
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("y,d,g,h\n")
         for k in range(scheme.n):
-            fh.write(f"{float(Y[k])!r},{float(D[k])!r},{g[k]},{h[k]}\n")
-    data = RegressionData(
-        Y=Y, D=D, controls=np.ones((scheme.n, 1)), scheme=scheme,
-        column_names=("d", "(intercept)"),
-    )
+            fh.write(f"{float(data.Y[k])!r},{float(data.D[k])!r},{g[k]},{h[k]}\n")
     res = theta_inference(data, build_index(scheme))
     return {"path": path, "theta_hat": res.theta_hat, "sigma_hat": res.sigma_hat}
 
@@ -398,7 +386,7 @@ def cmd_bound(args) -> int:
     sweep = cfg.get("sweep") or [spec.M]
     results = {"bounds": []}
     for M in sweep:
-        spec_m = DgpSpec(**{**spec.__dict__, "M": int(M)})
+        spec_m = replace(spec, M=int(M))
         rep = wasserstein_bound(spec_m, method=method, reps=reps)
         entry = rep.to_dict()
         entry["M"] = int(M)

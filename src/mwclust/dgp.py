@@ -9,10 +9,12 @@ are counter-based so parallel generation is replication-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, WeightedSample, build_index
+from mwclust.clusters import ClusterScheme, build_index
 
 VARIANTS = (
     "additive-re",
@@ -28,9 +30,6 @@ _M3 = {"gaussian": 0.0, "centered-exponential": 2.0, "rademacher": 0.0}
 
 # Component ids for counter-based stream separation within a replication.
 COMP_ALPHA, COMP_GAMMA, COMP_EPS = 0, 1, 2
-
-# Loadings of the two shared components on the three members of a triple block.
-_TRIPLE_PATTERNS = (np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class MomentOracle:
     gaussian: bool
     dependence_kind: str  # "neighborhood" | "self" | "custom"
     dependent: callable  # vectorized pair predicate (i, j) -> bool
-    third_moment: callable | None = None  # (i, j, k) -> float, additive designs only
     # entry i: closed-form sum of E[X_i X_j X_k] over j, k in i's dependency
     # neighborhood (the triple enumeration collapsed by shared-component
     # counting); additive designs only
@@ -121,21 +119,54 @@ def _draw(rng: np.random.Generator, dist: str, size: int) -> np.ndarray:
     return rng.integers(0, 2, size=size) * 2.0 - 1.0
 
 
-def _grid_scheme(M: int, cell: int) -> ClusterScheme:
-    g = np.repeat(np.arange(M, dtype=np.int64), M * cell)
-    h = np.tile(np.repeat(np.arange(M, dtype=np.int64), cell), M)
-    return ClusterScheme(dims=("G", "H"), labels=(g, h))
+class _Layout(NamedTuple):
+    """The seed-independent arrays of a design; every array is read-only."""
+
+    g: np.ndarray  # G cluster of each observation
+    h: np.ndarray  # H cluster of each observation
+    mean: np.ndarray
+    sa: np.ndarray | None = None  # grid: scale of alpha per G cluster
+    sg: np.ndarray | None = None  # grid: scale of gamma per H cluster
+    se: np.ndarray | None = None  # grid: scale of eps per observation
+    block: np.ndarray | None = None  # triple: block of each observation
+    load_a: np.ndarray | None = None  # triple: loading of the first block component
+    load_c: np.ndarray | None = None  # triple: loading of the second block component
 
 
-def _triple_scheme(blocks: int, one_way: bool) -> ClusterScheme:
-    b = np.repeat(np.arange(blocks, dtype=np.int64), 3)
-    if one_way:
-        g = np.zeros(3 * blocks, dtype=np.int64)
-        h = np.arange(3 * blocks, dtype=np.int64)
+@lru_cache(maxsize=64)
+def _layout(spec: DgpSpec) -> _Layout:
+    """Labels, scale schedules, triple block and mean of a design, built once per spec.
+
+    ``structure`` hands these arrays out (``scheme.labels``, ``oracle.mean``)
+    and ``draw`` reads them on every replication, so they are shared and
+    marked read-only.
+    """
+    M, cell = spec.M, spec.cell_size
+    if spec.variant == "nonzero-mean-triple":
+        block = np.repeat(np.arange(M, dtype=np.int64), 3)
+        if spec.triple_one_way:
+            g = np.zeros(3 * M, dtype=np.int64)
+            h = np.arange(3 * M, dtype=np.int64)
+        else:
+            g = 2 * block + np.tile(np.array([0, 0, 1], dtype=np.int64), M)
+            h = 2 * block + np.tile(np.array([0, 1, 1], dtype=np.int64), M)
+        layout = _Layout(
+            g, h, np.tile([1.0, -1.0, 1.0], M), block=block,
+            load_a=np.tile([1.0, 1.0, 0.0], M), load_c=np.tile([0.0, 1.0, 1.0], M),
+        )
     else:
-        g = 2 * b + np.tile(np.array([0, 0, 1], dtype=np.int64), blocks)
-        h = 2 * b + np.tile(np.array([0, 1, 1], dtype=np.int64), blocks)
-    return ClusterScheme(dims=("G", "H"), labels=(g, h))
+        g = np.repeat(np.arange(M, dtype=np.int64), M * cell)
+        h = np.tile(np.repeat(np.arange(M, dtype=np.int64), cell), M)
+        layout = _Layout(
+            g, h, np.zeros(g.size),
+            sa=_schedule(spec.sigma_alpha, M, spec.hetero_alpha),
+            sg=_schedule(spec.sigma_gamma, M, spec.hetero_gamma),
+            se=_schedule(spec.sigma_eps, g.size, spec.hetero_eps),
+        )
+    for arr in layout:
+        if arr is not None:
+            arr.flags.writeable = False
+    return layout
 
 
 def _shared_cluster_predicate(scheme: ClusterScheme):
@@ -153,20 +184,16 @@ def structure(spec: DgpSpec):
     """Scheme and moment oracle for a spec; deterministic, no draws.
 
     Identical across replications, so callers can build the neighborhood
-    index once per study.
+    index once per study. The label and mean arrays are shared with every
+    other call for an equal spec, and are read-only.
     """
-    M, cell = spec.M, spec.cell_size
+    lay = _layout(spec)
+    scheme = ClusterScheme(dims=("G", "H"), labels=(lay.g, lay.h))
     if spec.variant == "nonzero-mean-triple":
-        return _triple_structure(spec)
+        return scheme, _triple_oracle(spec, scheme, lay)
 
-    scheme = _grid_scheme(M, cell)
-    n = scheme.n
-    g, h = scheme.labels
-    sa = _schedule(spec.sigma_alpha, M, spec.hetero_alpha)
-    sg = _schedule(spec.sigma_gamma, M, spec.hetero_gamma)
-    se = _schedule(spec.sigma_eps, n, spec.hetero_eps)
-    mean = np.zeros(n)
-
+    M, n = spec.M, scheme.n
+    g, h, sa, sg, se = lay.g, lay.h, lay.sa, lay.sg, lay.se
     if spec.variant == "additive-re":
         sizes_g = np.bincount(g, minlength=M).astype(float)
         sizes_h = np.bincount(h, minlength=M).astype(float)
@@ -176,26 +203,14 @@ def structure(spec: DgpSpec):
         m3a = _M3[spec.dist_alpha] * sa**3
         m3g = _M3[spec.dist_gamma] * sg**3
         m3e = _M3[spec.dist_eps] * se**3
-
-        def third_moment(i, j, k):
-            val = 0.0
-            if g[i] == g[j] == g[k]:
-                val += m3a[g[i]]
-            if h[i] == h[j] == h[k]:
-                val += m3g[h[i]]
-            if i == j == k:
-                val += m3e[i]
-            return val
-
         gaussian = {spec.dist_alpha, spec.dist_gamma, spec.dist_eps} == {"gaussian"}
         oracle = MomentOracle(
-            mean=mean,
+            mean=lay.mean,
             true_Q=true_Q,
             scheme=scheme,
             gaussian=gaussian,
             dependence_kind="neighborhood",
             dependent=_shared_cluster_predicate(scheme),
-            third_moment=third_moment,
             third_inner_sum=m3a[g] * sizes_g[g] ** 2 + m3g[h] * sizes_h[h] ** 2 + m3e,
             # one column per random effect: F = [Z_g diag(sa) | Z_h diag(sg)]
             _factor_builder=lambda: (np.hstack([np.eye(M)[g] * sa, np.eye(M)[h] * sg]), se**2),
@@ -203,23 +218,17 @@ def structure(spec: DgpSpec):
         return scheme, oracle
 
     if spec.variant == "iid-conservative":
-        m3e = _M3[spec.dist_eps] * se**3
-
         def dependent(i, j):
             return np.asarray(i) == np.asarray(j)
 
-        def third_moment(i, j, k):
-            return float(m3e[i]) if i == j == k else 0.0
-
         oracle = MomentOracle(
-            mean=mean,
+            mean=lay.mean,
             true_Q=float((se**2).sum()),
             scheme=scheme,
             gaussian=spec.dist_eps == "gaussian",
             dependence_kind="self",
             dependent=dependent,
-            third_moment=third_moment,
-            third_inner_sum=m3e,
+            third_inner_sum=_M3[spec.dist_eps] * se**3,
             _factor_builder=lambda: (np.empty((n, 0)), se**2),
         )
         return scheme, oracle
@@ -227,7 +236,7 @@ def structure(spec: DgpSpec):
     # interactive-chaos: uncorrelated but within-row/column dependent
     var_i = sa[g] ** 2 * sg[h] ** 2
     oracle = MomentOracle(
-        mean=mean,
+        mean=lay.mean,
         true_Q=float(var_i.sum()),
         scheme=scheme,
         gaussian=False,  # products of normals are not normal
@@ -238,25 +247,20 @@ def structure(spec: DgpSpec):
     return scheme, oracle
 
 
-def _triple_structure(spec: DgpSpec):
+def _triple_oracle(spec: DgpSpec, scheme: ClusterScheme, lay: _Layout) -> MomentOracle:
     blocks = spec.M
-    scheme = _triple_scheme(blocks, spec.triple_one_way)
-    n = 3 * blocks
-    mean = np.tile(np.array([1.0, -1.0, 1.0]), blocks)
-    block = np.repeat(np.arange(blocks), 3)
-    pos = np.tile(np.arange(3), blocks)
+    block, loadings = lay.block, (lay.load_a, lay.load_c)
 
     def dependent(i, j):
-        # actual dependence: shared block component, regardless of scheme
+        # actual dependence: a shared block component, regardless of scheme
         i = np.asarray(i)
         j = np.asarray(j)
-        same_block = block[i] == block[j]
-        skip = (np.minimum(pos[i], pos[j]) == 0) & (np.maximum(pos[i], pos[j]) == 2)
-        return same_block & ~skip
+        shared = sum(load[i] * load[j] for load in loadings)
+        return (block[i] == block[j]) & (shared > 0)
 
     gaussian = {spec.dist_alpha, spec.dist_gamma} == {"gaussian"}
-    oracle = MomentOracle(
-        mean=mean,
+    return MomentOracle(
+        mean=lay.mean,
         true_Q=8.0 * blocks,
         scheme=scheme,
         gaussian=gaussian,
@@ -264,46 +268,29 @@ def _triple_structure(spec: DgpSpec):
         dependent=dependent,
         # block covariance [[1,1,0],[1,2,1],[0,1,1]]: one column per block component
         _factor_builder=lambda: (
-            np.hstack([np.eye(blocks)[block] * np.tile(p, blocks)[:, None] for p in _TRIPLE_PATTERNS]),
-            np.zeros(n),
+            np.hstack([np.eye(blocks)[block] * load[:, None] for load in loadings]),
+            np.zeros(scheme.n),
         ),
     )
-    return scheme, oracle
 
 
 def draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
-    """One replication of the outcome vector. Deterministic in (seed, rep)."""
-    M, cell = spec.M, spec.cell_size
+    """One replication of the outcome vector, a fresh array. Deterministic in (seed, rep)."""
+    lay = _layout(spec)
     if spec.variant == "nonzero-mean-triple":
-        a = _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
-        c = _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
-        block = np.repeat(np.arange(M), 3)
-        pattern_a, pattern_c = (np.tile(p, M) for p in _TRIPLE_PATTERNS)
-        mean = np.tile(np.array([1.0, -1.0, 1.0]), M)
-        return mean + a[block] * pattern_a + c[block] * pattern_c
+        a = _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, spec.M)
+        c = _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, spec.M)
+        return lay.mean + a[lay.block] * lay.load_a + c[lay.block] * lay.load_c
 
-    n = M * M * cell
-    g = np.repeat(np.arange(M), M * cell)
-    h = np.tile(np.repeat(np.arange(M), cell), M)
-    se = _schedule(spec.sigma_eps, n, spec.hetero_eps)
+    n = lay.g.size
     if spec.variant == "iid-conservative":
-        return se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
-    sa = _schedule(spec.sigma_alpha, M, spec.hetero_alpha)
-    sg = _schedule(spec.sigma_gamma, M, spec.hetero_gamma)
-    alpha = sa * _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
-    gamma = sg * _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
+        return lay.se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+    alpha = lay.sa * _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, spec.M)
+    gamma = lay.sg * _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, spec.M)
     if spec.variant == "interactive-chaos":
-        return alpha[g] * gamma[h]
-    eps = se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
-    return alpha[g] + gamma[h] + eps
-
-
-def generate(spec: DgpSpec, rep: int = 0):
-    """One replication: (WeightedSample, ClusterScheme, MomentOracle)."""
-    scheme, oracle = structure(spec)
-    W = draw(spec, rep)
-    sample = WeightedSample(W=W[:, None], omega=np.ones(scheme.n))
-    return sample, scheme, oracle
+        return alpha[lay.g] * gamma[lay.h]
+    eps = lay.se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+    return alpha[lay.g] + gamma[lay.h] + eps
 
 
 def true_bias_term(oracle: MomentOracle) -> float:

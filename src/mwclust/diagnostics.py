@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mwclust.clusters import NeighborhoodIndex, pair_weight_sums
-from mwclust.variance import smallest_eigenvalue
 
 # Benchmark from the iid case: equal weights and no clustering give 1/n,
 # so a study trusted at n = 30 motivates this default.
@@ -108,11 +107,3 @@ def assumption_ratios(
         warnings=warnings,
     )
 
-
-def rank_condition(X) -> float:
-    """Smallest eigenvalue of X'X/n."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < X.shape[1] and X.ndim == 2 and X.shape[0] == 1:
-        X = X.T
-    n = X.shape[0]
-    return smallest_eigenvalue(X.T @ X / n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from mwclust.clusters import WeightedSample, build_index
+from mwclust.clusters import ClusterScheme, WeightedSample, build_index
 from mwclust.dgp import DgpSpec, _stream, draw, structure, true_bias_term
 from mwclust.regression import RegressionData, Z_CRIT_95, fixed_design_inference
 from mwclust.variance import cgm_demeaned, cgm_raw
@@ -68,13 +68,23 @@ def ks_statistic(samples) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def _regressor(seed: int, rep: int, g, h, M: int) -> np.ndarray:
-    """Regressor with cluster-level components so that clustering matters."""
-    da = _stream(seed, rep, COMP_D_ALPHA).standard_normal(M)
-    dg = _stream(seed, rep, COMP_D_GAMMA).standard_normal(M)
-    nu = _stream(seed, rep, COMP_D_NOISE).standard_normal(g.size)
-    s = D_CLUSTER_SHARE
-    return s * (da[g] + dg[h]) + nu
+def regression_replication(spec: DgpSpec, scheme: ClusterScheme, rep: int) -> RegressionData:
+    """Replication ``rep`` of the regression target, Y = theta D + intercept + W.
+
+    The regressor has one component per G and per H cluster, so that
+    clustering matters, plus idiosyncratic noise; all draws are keyed by
+    ``spec.seed`` and ``rep``.
+    """
+    g, h = scheme.labels
+    C_G, C_H = scheme.n_clusters
+    da = _stream(spec.seed, rep, COMP_D_ALPHA).standard_normal(C_G)
+    dg = _stream(spec.seed, rep, COMP_D_GAMMA).standard_normal(C_H)
+    nu = _stream(spec.seed, rep, COMP_D_NOISE).standard_normal(g.size)
+    D = D_CLUSTER_SHARE * (da[g] + dg[h]) + nu
+    Y = THETA_TRUE * D + INTERCEPT_TRUE + draw(spec, rep)
+    return RegressionData(
+        Y=Y, D=D, controls=np.ones((g.size, 1)), scheme=scheme, column_names=("d", "(intercept)")
+    )
 
 
 def run_coverage(
@@ -104,8 +114,8 @@ def run_coverage(
     ratios = np.empty(reps)
     ones = np.ones(n)
     for r in range(reps):
-        W = draw(spec, r)
         if target == "mean":
+            W = draw(spec, r)
             pivots[r] = (W.sum() - mu.sum()) / sigma_true
             sample = WeightedSample(W=W[:, None], omega=ones)
             mean, est = cgm_demeaned(sample, index)
@@ -118,11 +128,7 @@ def run_coverage(
             if abs(float(mean[0]) - mu_bar) <= half:
                 covered += 1
         else:
-            g, hlab = scheme.labels
-            D = _regressor(seed, r, g, hlab, spec.M)
-            Y = THETA_TRUE * D + INTERCEPT_TRUE + W
-            data = RegressionData(Y=Y, D=D, controls=ones[:, None], scheme=scheme)
-            res = fixed_design_inference(data, index)
+            res = fixed_design_inference(regression_replication(spec, scheme, r), index)
             if res.negative_variance:
                 report.rejection_flags += 1
                 pivots[r] = np.nan

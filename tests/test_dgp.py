@@ -1,11 +1,20 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
 from mwclust.clusters import build_index
 from mwclust.dgp import (
+    COMP_ALPHA,
+    COMP_EPS,
+    COMP_GAMMA,
+    DISTRIBUTIONS,
+    VARIANTS,
     DgpSpec,
+    _draw,
+    _stream,
     draw,
-    generate,
     structure,
     true_bias_term,
 )
@@ -49,6 +58,148 @@ def reference_cov(spec: DgpSpec) -> np.ndarray:
     C += np.where(same_h, sg[h][:, None] * sg[h][None, :], 0.0)
     C[np.diag_indices(n)] += se**2
     return C
+
+
+def reference_schedule(base: float, count: int, hetero: bool) -> np.ndarray:
+    if hetero:
+        return base * (1.0 + np.arange(count) / count)
+    return np.full(count, base)
+
+
+def reference_draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
+    """The draw that rebuilt its labels, scale schedules, block and mean on every call."""
+    M, cell = spec.M, spec.cell_size
+    if spec.variant == "nonzero-mean-triple":
+        a = _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
+        c = _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
+        block = np.repeat(np.arange(M), 3)
+        pattern_a = np.tile(np.array([1.0, 1.0, 0.0]), M)
+        pattern_c = np.tile(np.array([0.0, 1.0, 1.0]), M)
+        mean = np.tile(np.array([1.0, -1.0, 1.0]), M)
+        return mean + a[block] * pattern_a + c[block] * pattern_c
+
+    n = M * M * cell
+    g = np.repeat(np.arange(M), M * cell)
+    h = np.tile(np.repeat(np.arange(M), cell), M)
+    se = reference_schedule(spec.sigma_eps, n, spec.hetero_eps)
+    if spec.variant == "iid-conservative":
+        return se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+    sa = reference_schedule(spec.sigma_alpha, M, spec.hetero_alpha)
+    sg = reference_schedule(spec.sigma_gamma, M, spec.hetero_gamma)
+    alpha = sa * _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
+    gamma = sg * _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
+    if spec.variant == "interactive-chaos":
+        return alpha[g] * gamma[h]
+    eps = se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+    return alpha[g] + gamma[h] + eps
+
+
+def reference_labels(spec: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (G, H) labels of the grid and triple scheme builders."""
+    M = spec.M
+    if spec.variant != "nonzero-mean-triple":
+        g = np.repeat(np.arange(M, dtype=np.int64), M * spec.cell_size)
+        h = np.tile(np.repeat(np.arange(M, dtype=np.int64), spec.cell_size), M)
+        return g, h
+    b = np.repeat(np.arange(M, dtype=np.int64), 3)
+    if spec.triple_one_way:
+        return np.zeros(3 * M, dtype=np.int64), np.arange(3 * M, dtype=np.int64)
+    g = 2 * b + np.tile(np.array([0, 0, 1], dtype=np.int64), M)
+    h = 2 * b + np.tile(np.array([0, 1, 1], dtype=np.int64), M)
+    return g, h
+
+
+def reference_triple_dependent(M: int) -> np.ndarray:
+    """Triple dependence by position: same block, except the first and last members."""
+    block = np.repeat(np.arange(M), 3)
+    pos = np.tile(np.arange(3), M)
+    skip = (np.minimum.outer(pos, pos) == 0) & (np.maximum.outer(pos, pos) == 2)
+    return (block[:, None] == block[None, :]) & ~skip
+
+
+def reference_third_moment(spec: DgpSpec):
+    """E[X_i X_j X_k] of the additive-re and iid-conservative designs, one triple at a time."""
+    scheme, _ = structure(spec)
+    g, h = scheme.labels
+    sa = reference_schedule(spec.sigma_alpha, spec.M, spec.hetero_alpha)
+    sg = reference_schedule(spec.sigma_gamma, spec.M, spec.hetero_gamma)
+    se = reference_schedule(spec.sigma_eps, scheme.n, spec.hetero_eps)
+    m3 = {"gaussian": 0.0, "centered-exponential": 2.0, "rademacher": 0.0}
+    additive = spec.variant == "additive-re"
+
+    def third_moment(i, j, k):
+        val = 0.0
+        if additive and g[i] == g[j] == g[k]:
+            val += m3[spec.dist_alpha] * sa[g[i]] ** 3
+        if additive and h[i] == h[j] == h[k]:
+            val += m3[spec.dist_gamma] * sg[h[i]] ** 3
+        if i == j == k:
+            val += m3[spec.dist_eps] * se[i] ** 3
+        return val
+
+    return third_moment
+
+
+def layout_specs():
+    """Every variant, distribution, heterogeneity flag, cell size and triple orientation."""
+    dists = [(d, d, d) for d in DISTRIBUTIONS] + [("centered-exponential", "rademacher", "gaussian")]
+    for variant, dist, hetero, cell, one_way in product(
+        VARIANTS, dists, product((False, True), repeat=3), (1, 3), (False, True)
+    ):
+        if variant == "interactive-chaos" and cell != 1:
+            continue
+        yield DgpSpec(
+            variant=variant, M=3, cell_size=cell,
+            dist_alpha=dist[0], dist_gamma=dist[1], dist_eps=dist[2],
+            sigma_alpha=0.5, sigma_gamma=2.0, sigma_eps=1.5,
+            hetero_alpha=hetero[0], hetero_gamma=hetero[1], hetero_eps=hetero[2],
+            triple_one_way=one_way,
+        )
+
+
+class TestLayout:
+    def test_draw_matches_reference_bit_for_bit(self):
+        for spec in layout_specs():
+            scheme, oracle = structure(spec)
+            for seed, rep in product((0, 7, 2**40 + 3), (0, 1, 5)):
+                seeded = replace(spec, seed=seed)
+                got, ref = draw(seeded, rep), reference_draw(seeded, rep)
+                assert got.shape == ref.shape == oracle.mean.shape == (scheme.n,), spec
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (spec, seed, rep)
+
+    def test_structure_labels_match_reference_schemes(self):
+        for spec in layout_specs():
+            scheme, _ = structure(spec)
+            for got, ref in zip(scheme.labels, reference_labels(spec)):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("one_way", [False, True])
+    def test_triple_dependence_is_a_shared_block_component(self, one_way):
+        _, oracle = structure(DgpSpec(variant="nonzero-mean-triple", M=3, triple_one_way=one_way))
+        np.testing.assert_array_equal(oracle.adjacency(), reference_triple_dependent(3))
+        np.testing.assert_array_equal(oracle.adjacency(), oracle.cov() != 0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_shared_arrays_are_read_only(self, variant):
+        spec = DgpSpec(variant=variant, M=3)
+        scheme, oracle = structure(spec)
+        assert structure(spec)[0].labels[0] is scheme.labels[0]
+        for arr in (*scheme.labels, oracle.mean):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99
+        np.testing.assert_array_equal(scheme.labels[0], reference_labels(spec)[0])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_draw_returns_a_fresh_writable_array(self, variant):
+        spec = DgpSpec(variant=variant, M=3, seed=4)
+        _, oracle = structure(spec)
+        x = draw(spec, 2)
+        before = x.copy()
+        assert x.flags.writeable and not np.shares_memory(x, oracle.mean)
+        x[:] = 99.0
+        x *= 2.0
+        np.testing.assert_array_equal(draw(spec, 2), before)
 
 
 class TestCovFactor:
@@ -123,11 +274,21 @@ class TestStructure:
         )
         scheme, oracle = structure(spec)
         index = build_index(scheme)
+        third_moment = reference_third_moment(spec)
         for i in range(scheme.n):
             nbrs = index.neighborhood(i)
-            brute = sum(
-                oracle.third_moment(i, int(j), int(k)) for j in nbrs for k in nbrs
-            )
+            brute = sum(third_moment(i, int(j), int(k)) for j in nbrs for k in nbrs)
+            assert oracle.third_inner_sum[i] == pytest.approx(brute, rel=1e-12)
+
+    def test_iid_third_inner_sum_matches_triple_enumeration(self):
+        spec = DgpSpec(
+            variant="iid-conservative", M=2, cell_size=2, dist_eps="centered-exponential",
+            sigma_eps=0.7, hetero_eps=True,
+        )
+        scheme, oracle = structure(spec)
+        third_moment = reference_third_moment(spec)
+        for i in range(scheme.n):
+            brute = sum(third_moment(i, j, k) for j in range(scheme.n) for k in range(scheme.n))
             assert oracle.third_inner_sum[i] == pytest.approx(brute, rel=1e-12)
 
     def test_gaussian_designs_have_zero_third_moments(self):
@@ -188,8 +349,3 @@ class TestDraw:
         )
         x = draw(spec, 0)
         assert set(np.unique(np.abs(x)).tolist()) == {2.0}
-
-    def test_generate_bundles_consistently(self):
-        sample, scheme, oracle = generate(DgpSpec(variant="additive-re", M=2), rep=3)
-        assert sample.n == scheme.n == oracle.mean.size == 4
-        np.testing.assert_array_equal(sample.W[:, 0], draw(DgpSpec(variant="additive-re", M=2), 3))

@@ -6,7 +6,6 @@ from mwclust.diagnostics import (
     L_WARN_DEFAULT,
     assumption_ratios,
     leverage_L,
-    rank_condition,
 )
 
 
@@ -105,14 +104,3 @@ class TestAssumptionRatios:
         report = assumption_ratios(index, np.ones(2), 1.0)
         json.dumps(report.to_dict())
 
-
-class TestRankCondition:
-    def test_orthonormal_columns(self):
-        n = 16
-        X = np.column_stack([np.ones(n), np.tile([1.0, -1.0], n // 2)])
-        # X'X/n = I for this balanced design
-        assert rank_condition(X) == pytest.approx(1.0, abs=1e-12)
-
-    def test_collinear_columns_give_zero(self):
-        X = np.column_stack([np.ones(8), 2 * np.ones(8)])
-        assert rank_condition(X) == pytest.approx(0.0, abs=1e-12)

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mwclust.dgp import DgpSpec
-from mwclust.harness import McReport, ks_statistic, run_consistency, run_coverage
+from mwclust.dgp import DgpSpec, draw, structure
+from mwclust.harness import (
+    INTERCEPT_TRUE,
+    THETA_TRUE,
+    McReport,
+    ks_statistic,
+    regression_replication,
+    run_consistency,
+    run_coverage,
+)
 
 
 class TestKsStatistic:
@@ -137,3 +145,22 @@ class TestRunConsistency:
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["trace"][0]["M"] == 4
         assert isinstance(rep, McReport)
+
+
+class TestRegressionReplication:
+    def test_outcome_is_the_design_draw_plus_the_linear_part(self):
+        spec = DgpSpec(variant="additive-re", M=4, cell_size=2, hetero_eps=True, seed=9)
+        scheme, _ = structure(spec)
+        data = regression_replication(spec, scheme, 3)
+        assert data.column_names == ("d", "(intercept)")
+        np.testing.assert_array_equal(data.controls, np.ones((scheme.n, 1)))
+        np.testing.assert_allclose(
+            data.Y - THETA_TRUE * data.D - INTERCEPT_TRUE, draw(spec, 3), rtol=0, atol=1e-12
+        )
+
+    def test_triple_design_draws_one_component_per_cluster(self):
+        # the two-way triple has 2M clusters on each dimension, not M
+        spec = DgpSpec(variant="nonzero-mean-triple", M=4)
+        report = run_coverage(spec, target="regression-theta", reps=20, seed=1)
+        assert 0.0 <= report.coverage_95 <= 1.0
+        assert report.ks_pivot is not None

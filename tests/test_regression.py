@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwclust.clusters import ClusterScheme, WeightedSample, build_index
-from mwclust.diagnostics import rank_condition
 from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     Z_CRIT_95,
+    _gram,
     _residual_ssd,
     _slope_variance,
     fixed_design_inference,
@@ -17,7 +17,7 @@ from mwclust.regression import (
     stochastic_design_inference,
     theta_inference,
 )
-from mwclust.variance import cgm_raw
+from mwclust.variance import cgm_raw, smallest_eigenvalue
 
 
 def make_data(Y, D, controls, g, h, names=()):
@@ -218,6 +218,21 @@ class TestStochasticDesign:
             stochastic_design_inference(data, build_index(data.scheme))
 
 
+class TestGram:
+    def test_orthonormal_columns(self):
+        n = 16
+        X = np.column_stack([np.ones(n), np.tile([1.0, -1.0], n // 2)])
+        # X'X/n = I for this balanced design
+        S, rank_lambda = _gram(X)
+        np.testing.assert_array_equal(S, n * np.eye(2))
+        assert rank_lambda == pytest.approx(1.0, abs=1e-12)
+
+    def test_collinear_columns_raise(self):
+        X = np.column_stack([np.ones(8), 2 * np.ones(8)])
+        with pytest.raises(SingularDesignError, match="rank condition"):
+            _gram(X)
+
+
 class TestThetaInference:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -274,7 +289,7 @@ class TestThetaInference:
         assert res.score_pair_sum == pytest.approx(
             cgm_raw(scores, index).Q_hat[0, 0], rel=1e-12, abs=1e-300
         )
-        assert res.rank_lambda == rank_condition(data.X)
+        assert res.rank_lambda == smallest_eigenvalue(data.X.T @ data.X / data.n)
         full = stochastic_design_inference(data, index)
         np.testing.assert_allclose(res.V_hat, full.V_hat, rtol=1e-12, atol=1e-15)
         assert full.rank_lambda == res.rank_lambda
