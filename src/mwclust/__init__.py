@@ -20,8 +20,6 @@ from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     fixed_design_inference,
-    fwl_residualize,
-    ols_fit,
     stochastic_design_inference,
     theta_inference,
 )
@@ -52,11 +50,9 @@ __all__ = [
     "cgm_demeaned",
     "cgm_raw",
     "fixed_design_inference",
-    "fwl_residualize",
     "kolmogorov_bound",
     "ks_statistic",
     "leverage_L",
-    "ols_fit",
     "pair_weight_sums",
     "psd_project",
     "run_consistency",

@@ -27,8 +27,7 @@ from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     _finish_scalar,
-    _residual_ssd,
-    fwl_residualize,
+    _fit,
     theta_inference,
 )
 from mwclust.stein import wasserstein_bound
@@ -421,8 +420,7 @@ def cmd_diagnose(args) -> int:
     if args.d:
         data = _build_regression(args)
         index = build_index(data.scheme)
-        weights, _ = fwl_residualize(data)
-        _residual_ssd(data, weights)
+        _, weights, _, _ = _fit(data)
     else:
         table, scheme = _read_clustered(args, [])
         index = build_index(scheme)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from mwclust.clusters import ClusterScheme, WeightedSample, build_index
 from mwclust.dgp import DgpSpec, _stream, draw, structure, true_bias_term
@@ -58,6 +57,8 @@ class McReport:
 
 def ks_statistic(samples) -> float:
     """Sup distance between the empirical CDF and the standard normal CDF."""
+    from scipy.special import ndtr  # loaded on first use: it keeps scipy off the import path
+
     x = np.sort(np.asarray(samples, dtype=float))
     m = x.size
     if m < 2:
@@ -92,8 +93,10 @@ def run_coverage(
 ) -> McReport:
     """Replicate, estimate, and record 95% CI containment of the truth.
 
-    Negative estimated variances are counted as non-coverage and tallied in
-    ``rejection_flags``.
+    Non-positive estimated variances are counted as non-coverage, tallied in
+    ``rejection_flags`` and given a NaN pivot. A variance can be negative in
+    finite samples, and exactly zero when one cluster holds every
+    observation, as on the one-way triple design.
     """
     if target not in ("mean", "regression-theta"):
         raise ValueError(f"unknown target {target!r}")
@@ -129,7 +132,7 @@ def run_coverage(
                 covered += 1
         else:
             res = fixed_design_inference(regression_replication(spec, scheme, r), index)
-            if res.negative_variance:
+            if res.sigma_sq <= 0:
                 report.rejection_flags += 1
                 pivots[r] = np.nan
                 ratios[r] = np.nan

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from mwclust.clusters import ClusterScheme, NeighborhoodIndex, WeightedSample
 from mwclust.variance import cgm_raw, smallest_eigenvalue
@@ -20,7 +19,6 @@ from mwclust.variance import cgm_raw, smallest_eigenvalue
 # N(0,1) 97.5% quantile; no small-sample df adjustment.
 Z_CRIT_95 = 1.959964
 
-PIVOT_RTOL = 1e-10
 RANK_LAMBDA_MIN = 1e-10
 
 
@@ -84,46 +82,54 @@ class InferenceResult:
     rank_lambda: float | None = None  # smallest eigenvalue of X'X/n
 
 
-def _solve_pivoted(X: np.ndarray, Y: np.ndarray, names) -> np.ndarray:
-    """Least squares via column-pivoted QR with rank diagnosis."""
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = PIVOT_RTOL * (diag.max() if diag.size else 0.0)
-    bad = np.flatnonzero(diag <= tol)
-    if diag.size == 0 or bad.size or diag.size < X.shape[1]:
-        # with fewer rows than columns, the columns pivoted past the last row are dependent
-        col = int(piv[bad[0] if bad.size else diag.size]) if diag.size else 0
-        name = names[col] if col < len(names) else f"column {col}"
-        raise SingularDesignError(f"design matrix is rank deficient at column {name!r}")
-    beta_perm = scipy.linalg.solve_triangular(r, q.T @ Y)
-    beta = np.empty_like(beta_perm)
-    beta[piv] = beta_perm
-    return beta
+def _fit(data: RegressionData):
+    """(beta, D_tilde, ssd, u_hat) from one QR of the design [controls | D].
 
-
-def ols_fit(data: RegressionData) -> np.ndarray:
-    """Full-regression coefficient vector (slope of interest first)."""
-    X = data.X
-    beta = _solve_pivoted(X, data.Y, data.column_names)
-    resid = data.Y - X @ beta
-    ref = np.linalg.norm(X.T @ data.Y)
-    if ref > 0 and np.linalg.norm(X.T @ resid) > 1e-8 * ref:
-        raise FloatingPointError("normal-equation residual orthogonality check failed")
-    return beta
-
-
-def fwl_residualize(data: RegressionData):
-    """Residualize D and Y against the controls.
-
-    With no controls this is the identity. Returns (D_tilde, Y_tilde).
+    The rank decision does not depend on units: each column is scaled by a
+    power of two, which is exact and keeps its sum of squares finite, and
+    column j fails when its squared residual on the earlier columns, r_jj^2,
+    is at most ``RANK_LAMBDA_MIN`` times its squared norm; so does a column
+    past the last row. The slope is the residualized one, D_tilde'Y / ssd,
+    with D_tilde the residual of D on the controls' Q columns; the control
+    coefficients come from the triangular solve given the slope. Without
+    controls D_tilde is D itself, so an exact fit leaves exactly zero residuals.
     """
-    Wc = data.controls
-    if Wc.shape[1] == 0:
-        return data.D.copy(), data.Y.copy()
-    names = data.column_names[1:]
-    gamma_d = _solve_pivoted(Wc, data.D, names)
-    gamma_y = _solve_pivoted(Wc, data.Y, names)
-    return data.D - Wc @ gamma_d, data.Y - Wc @ gamma_y
+    Z = np.column_stack([data.controls, data.D])
+    n, k = Z.shape
+    e = np.frexp(np.abs(Z).max(axis=0))[1]
+    Zs = np.ldexp(Z, -e)
+    q, r = np.linalg.qr(Zs)
+    ssq = np.einsum("ij,ij->j", Zs, Zs)[: min(n, k)]
+    bad = np.flatnonzero(np.diag(r) ** 2 <= RANK_LAMBDA_MIN * ssq)
+    if bad.size or n < k:
+        col = int(bad[0]) if bad.size else n
+        if col == k - 1:
+            raise SingularDesignError(
+                "regressor of interest has no residual variation after partialling out controls"
+            )
+        names = data.column_names
+        name = names[col + 1] if col + 1 < len(names) else f"column {col + 1}"
+        raise SingularDesignError(f"design matrix is rank deficient at column {name!r}")
+    Qw = q[:, :-1]
+    D_tilde = data.D - Qw @ (Qw.T @ data.D)
+    ssd = float(D_tilde @ D_tilde)
+    if not ssd < np.inf:
+        raise FloatingPointError(
+            "sum of squares of the residualized regressor overflows double precision"
+        )
+    if ssd < np.finfo(float).tiny:
+        raise FloatingPointError(
+            "sum of squares of the residualized regressor underflows double precision"
+        )
+    theta = float(D_tilde @ data.Y) / ssd
+    gamma = np.linalg.solve(r[:-1, :-1], Qw.T @ data.Y - r[:-1, -1] * np.ldexp(theta, e[-1]))
+    beta = np.concatenate([[theta], np.ldexp(gamma, -e[:-1])])  # in the order of data.X
+    X = data.X
+    u_hat = data.Y - X @ beta
+    ref = np.linalg.norm(X.T @ data.Y)
+    if ref > 0 and np.linalg.norm(X.T @ u_hat) > 1e-8 * ref:
+        raise FloatingPointError("normal-equation residual orthogonality check failed")
+    return beta, D_tilde, ssd, u_hat
 
 
 def _pair_sum(scores: np.ndarray, index: NeighborhoodIndex) -> np.ndarray:
@@ -135,53 +141,25 @@ def _pair_sum(scores: np.ndarray, index: NeighborhoodIndex) -> np.ndarray:
 
 def _slope_variance(pair_sum: float, ssd: float) -> float:
     """Residualized slope variance: the pair sum of u_i Dt_i u_j Dt_j over (sum Dt^2)^2."""
-    try:
-        return pair_sum / ssd**2
-    except OverflowError:  # ssd**2 is out of range; dividing twice is not
-        return pair_sum / ssd / ssd
-
-
-def _residual_ssd(data: RegressionData, D_tilde) -> float:
-    """Sum of squares of the residualized regressor; raises when it vanishes or overflows.
-
-    The relative test reads D and D_tilde scaled by one power of two, which is
-    exact and keeps their sums of squares finite.
-    """
-    ssd = float(D_tilde @ D_tilde)
-    e = -np.frexp(np.abs(data.D).max())[1]
-    d, dt = np.ldexp(data.D, e), np.ldexp(D_tilde, e)
-    if ssd <= RANK_LAMBDA_MIN or dt @ dt <= RANK_LAMBDA_MIN * (d @ d):
-        raise SingularDesignError(
-            "regressor of interest has no residual variation after partialling out controls"
-        )
-    if not np.isfinite(ssd):
-        raise FloatingPointError(
-            "sum of squares of the residualized regressor overflows double precision"
-        )
-    return ssd
-
-
-def _fwl_fit(data: RegressionData):
-    """(beta, D_tilde, ssd, theta, u_hat): the long fit, then the residualized slope and residuals."""
-    beta = ols_fit(data)
-    D_tilde, Y_tilde = fwl_residualize(data)
-    ssd = _residual_ssd(data, D_tilde)
-    theta = float(D_tilde @ Y_tilde / ssd)
-    return beta, D_tilde, ssd, theta, Y_tilde - D_tilde * theta
+    return pair_sum / ssd / ssd  # (sum Dt^2)^2 can leave the double range; dividing twice does not
 
 
 def _gram(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """X'X and the smallest eigenvalue of X'X/n; raises when the rank condition fails."""
+    """(X'X)^-1 and the smallest eigenvalue of X'X/n, reported; ``_fit`` decides rank.
+
+    Columns whose scales lie far apart, say 1e-170 and 1, pass the unit-free
+    rank test yet leave X'X singular in double precision.
+    """
     S = X.T @ X
     rank_lambda = smallest_eigenvalue(S / X.shape[0])
-    if rank_lambda <= RANK_LAMBDA_MIN:
-        raise SingularDesignError("X'X/n is near singular; rank condition fails")
-    return S, rank_lambda
+    try:
+        return np.linalg.inv(S), rank_lambda
+    except np.linalg.LinAlgError as exc:
+        raise FloatingPointError(f"X'X is not invertible in double precision: {exc}") from None
 
 
-def _sandwich(S: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _sandwich(S_inv: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """S^-1 Q S^-1: the covariance of the coefficients, with bread X'X and meat Q."""
-    S_inv = np.linalg.inv(S)
     return S_inv @ Q @ S_inv
 
 
@@ -191,6 +169,8 @@ def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) 
     A negative variance can occur in finite samples; it is surfaced, not
     clipped, and no interval is formed.
     """
+    if not np.isfinite(sigma_sq):
+        raise FloatingPointError("slope variance overflows double precision")
     negative = sigma_sq < 0
     sigma = None if negative else float(np.sqrt(sigma_sq))
     return InferenceResult(
@@ -205,20 +185,18 @@ def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) 
 
 def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Slope inference treating the regressors as nonstochastic."""
-    beta, D_tilde, ssd, theta, u_hat = _fwl_fit(data)
+    beta, D_tilde, ssd, u_hat = _fit(data)
     pair_sum = float(_pair_sum((u_hat * D_tilde)[:, None], index)[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)
-    return _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, score_pair_sum=pair_sum)
+    return _finish_scalar(beta, float(beta[0]), sigma_sq, u_hat, D_tilde, score_pair_sum=pair_sum)
 
 
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Full sandwich inference treating the regressors as random."""
+    beta, D_tilde, _, u_hat = _fit(data)
     X = data.X
-    S, rank_lambda = _gram(X)
-    beta = ols_fit(data)
-    u_hat = data.Y - X @ beta
-    V_hat = _sandwich(S, _pair_sum(X * u_hat[:, None], index))
-    D_tilde, _ = fwl_residualize(data)
+    S_inv, rank_lambda = _gram(X)
+    V_hat = _sandwich(S_inv, _pair_sum(X * u_hat[:, None], index))
     return _finish_scalar(
         beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat, rank_lambda=rank_lambda
     )
@@ -231,20 +209,20 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
     asserts the numeric identity between the (1,1) element of the full
     sandwich and the residualized variance formula.
     """
-    beta, D_tilde, ssd, theta, u_hat = _fwl_fit(data)
+    beta, D_tilde, ssd, u_hat = _fit(data)
     X = data.X
-    S, rank_lambda = _gram(X)
-    scores = np.vstack([u_hat * D_tilde, X.T * (data.Y - X @ beta)])  # one score per row
+    S_inv, rank_lambda = _gram(X)
+    scores = np.vstack([u_hat * D_tilde, X.T * u_hat])  # one score per row
     Q = _pair_sum(scores.T, index)  # a view whose columns cluster_sums reads without a copy
     pair_sum = float(Q[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)
-    V_hat = _sandwich(S, Q[1:, 1:])
+    V_hat = _sandwich(S_inv, Q[1:, 1:])
     scale = max(abs(sigma_sq), abs(float(V_hat[0, 0])), 1e-300)
     if not abs(sigma_sq - float(V_hat[0, 0])) <= 1e-8 * scale:  # NaN fails too
         raise FloatingPointError(
             "residualized variance and sandwich (1,1) element disagree beyond tolerance"
         )
     return _finish_scalar(
-        beta, theta, sigma_sq, u_hat, D_tilde, V_hat=V_hat,
+        beta, float(beta[0]), sigma_sq, u_hat, D_tilde, V_hat=V_hat,
         score_pair_sum=pair_sum, rank_lambda=rank_lambda,
     )

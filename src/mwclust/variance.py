@@ -35,7 +35,9 @@ def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (as columns) of a symmetric matrix.
 
     LAPACK through numpy. Raises ValueError on non-square or asymmetric input
-    and FloatingPointError on a non-finite entry, such as an overflowed sum.
+    and FloatingPointError on a non-finite entry, such as an overflowed sum,
+    or when LAPACK does not converge, as on some matrices whose entries span
+    hundreds of orders of magnitude.
     """
     a = np.array(M, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -45,7 +47,10 @@ def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
-    return np.linalg.eigh(0.5 * (a + a.T))
+    try:
+        return np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise FloatingPointError(f"eigendecomposition failed in double precision: {exc}") from None
 
 
 def smallest_eigenvalue(M) -> float:

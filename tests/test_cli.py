@@ -9,7 +9,6 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -119,9 +118,8 @@ class TestEstimate:
         assert res["ci_95"][0] < res["theta_hat"] < res["ci_95"][1]
 
     def test_one_fit_and_one_score_pair_sum(self, monkeypatch, capsys):
-        # one estimate fits once (3 QRs: the long fit, then D and Y on the
-        # controls) and sums over clusters 3 times (the stacked scores, the
-        # leverage and the ratio diagnostics)
+        # one estimate fits once (one QR of the design) and sums over clusters
+        # 3 times (the stacked scores, the leverage and the ratio diagnostics)
         calls = {"qr": 0, "cluster_sums": 0}
 
         def counted(name, fn):
@@ -130,7 +128,7 @@ class TestEstimate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scipy.linalg, "qr", counted("qr", scipy.linalg.qr))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
         monkeypatch.setattr(
             NeighborhoodIndex, "cluster_sums", counted("cluster_sums", NeighborhoodIndex.cluster_sums)
         )
@@ -138,7 +136,7 @@ class TestEstimate:
             ["estimate", "--data", str(DATA), "--y", "y", "--d", "d", "--cluster", "g,h"], capsys
         )
         assert code == 0
-        assert calls["qr"] <= 3 and calls["cluster_sums"] <= 3
+        assert calls["qr"] == 1 and calls["cluster_sums"] <= 3
 
     def test_missing_column_is_data_error(self, capsys):
         code, _, err = run_cli(
@@ -193,12 +191,12 @@ class TestEstimate:
         "seed, eps, message",
         [
             (0, 1e-4, "residualized variance and sandwich (1,1) element disagree beyond tolerance"),
-            (4, 1e-10, "normal-equation residual orthogonality check failed"),
+            (4, 1e-10, "regressor of interest has no residual variation after partialling out controls"),
         ],
     )
     def test_failed_cross_check_exit_3(self, tmp_path, capsys, seed, eps, message):
-        # a control equal to d up to eps: the fit passes the rank tests, then
-        # one of its two runtime cross-checks fails (which one depends on the draw)
+        # a control equal to d up to eps: at 1e-4 the fit passes the rank test
+        # and the sandwich cross-check fails; at 1e-10 the rank test stops it
         rng = np.random.default_rng(seed)
         n = 60
         g, h = rng.integers(0, 6, n), rng.integers(0, 5, n)
@@ -225,7 +223,7 @@ class TestEstimate:
             capsys,
         )
         assert code == 3
-        assert "rank deficient" in err
+        assert "no residual variation" in err
 
     def test_collinear_design_exit_code(self, tmp_path, capsys):
         p = tmp_path / "collinear.csv"
@@ -321,6 +319,46 @@ class TestEstimate:
         )
         assert (code, out) == (3, "")
         assert message in err
+
+    @pytest.mark.parametrize("c", [1e12, 1e-6, 1e-8])
+    def test_rescaled_regressor_keeps_the_estimate(self, tmp_path, capsys, c):
+        # the rank decision is unit-free: theta_hat scales as 1/c, t is unchanged
+        base = ["--y", "y", "--d", "d", "--cluster", "g,h"]
+        code, out, _ = run_cli(["estimate", "--data", str(DATA), *base], capsys)
+        ref = check_report(out)["results"]
+        with open(DATA, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        p = tmp_path / "scaled.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "d": repr(float(row["d"]) * c)} for row in rows)
+        code, out, err = run_cli(["estimate", "--data", str(p), *base], capsys)
+        assert (code, err) == (0, "")
+        res = check_report(out)["results"]
+        assert res["theta_hat"] * c == pytest.approx(ref["theta_hat"], rel=1e-12)
+        assert res["sigma_hat"] * c == pytest.approx(ref["sigma_hat"], rel=1e-12)
+        assert res["t_stat"] == pytest.approx(ref["t_stat"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "text, controls, message",
+        [
+            ("y,d,g,h\n1,2,a,b\n", [], "regressor of interest has no residual variation"),
+            ("y,d,c,g,h\n1,2,4,a,b\n2,3,6,a,c\n4,1,2,b,b\n3,5,10,b,c\n", ["--controls", "c"],
+             "regressor of interest has no residual variation"),
+            ("y,d,c,e,g,h\n1,2,1,2,a,b\n2,3,0,0,a,c\n4,1,3,6,b,b\n3,5,2,4,b,c\n", ["--controls", "c,e"],
+             "design matrix is rank deficient at column 'e'"),
+        ],
+        ids=["one-row", "collinear-d", "collinear-controls"],
+    )
+    def test_estimate_and_diagnose_agree_on_singular_input(self, tmp_path, capsys, text, controls, message):
+        p = tmp_path / "singular.csv"
+        p.write_text(text)
+        base = ["--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h", *controls]
+        estimate, diagnose = run_cli(["estimate", *base], capsys), run_cli(["diagnose", *base], capsys)
+        assert estimate == diagnose
+        code, out, err = estimate
+        assert (code, out) == (3, "") and err.startswith(f"error: {message}")
 
     def test_string_cluster_labels_accepted(self, tmp_path, capsys):
         p = tmp_path / "strings.csv"

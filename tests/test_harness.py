@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from mwclust.cli import main
 from mwclust.dgp import DgpSpec, draw, structure
 from mwclust.harness import (
     INTERCEPT_TRUE,
@@ -80,6 +82,21 @@ class TestRunCoverage:
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             run_coverage(DgpSpec(variant="additive-re"), target="median")
+
+    def test_zero_variance_replications_flagged(self, tmp_path, capsys):
+        # one G cluster holds every observation, so the clustered score sum
+        # is the whole-sample sum of u_hat * D_tilde, which the intercept
+        # makes exactly zero: every replication is flagged, none divides by 0
+        spec = DgpSpec(variant="nonzero-mean-triple", M=4, triple_one_way=True)
+        rep = run_coverage(spec, target="regression-theta", reps=5, seed=0)
+        assert (rep.rejection_flags, rep.coverage_95, rep.ks_pivot) == (5, 0.0, None)
+        cfg = tmp_path / "one_way.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"variant": "nonzero-mean-triple", "M": 4, "triple_one_way": True},
+            "mode": "coverage", "target": "regression-theta", "reps": 5,
+        }))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["rejection_flags"] == 5
 
     def test_chaos_pivot_departs_from_normal(self):
         ch = run_coverage(

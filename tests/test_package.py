@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mwclust
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_exported_name_resolves():
@@ -8,7 +15,17 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("generate", "rank_condition"):
+    for name in ("generate", "rank_condition", "ols_fit", "fwl_residualize"):
         assert name not in mwclust.__all__
         assert not hasattr(mwclust, name)
     assert not hasattr(mwclust.MomentOracle, "third_moment")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded on first use by the KS statistic only
+    code = "import sys, mwclust.cli; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr

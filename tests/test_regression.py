@@ -8,12 +8,9 @@ from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     Z_CRIT_95,
-    _gram,
-    _residual_ssd,
+    _fit,
     _slope_variance,
     fixed_design_inference,
-    fwl_residualize,
-    ols_fit,
     stochastic_design_inference,
     theta_inference,
 )
@@ -61,28 +58,46 @@ class TestOlsFit:
     def test_exact_slope_no_controls(self):
         D = np.array([1.0, 2.0, 3.0])
         data = make_data(2 * D, D, np.empty((3, 0)), [0, 1, 2], [0, 1, 2])
-        np.testing.assert_allclose(ols_fit(data), [2.0])
+        np.testing.assert_allclose(_fit(data)[0], [2.0])
 
     def test_exact_affine_fit(self):
         D = np.array([0.0, 1.0, 2.0, 3.0])
         data = make_data(1 + 3 * D, D, np.ones((4, 1)), [0, 1, 2, 3], [0, 1, 2, 3])
-        np.testing.assert_allclose(ols_fit(data), [3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(_fit(data)[0], [3.0, 1.0], atol=1e-12)
 
     def test_closed_form_simple_slope(self):
         D = np.array([0.0, 1.0, 2.0])
         Y = np.array([0.0, 1.0, 1.0])
         data = make_data(Y, D, np.ones((3, 1)), [0, 1, 2], [0, 1, 2])
-        beta = ols_fit(data)
+        beta = _fit(data)[0]
         assert beta[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_rank_deficiency_names_column(self):
-        D = np.array([1.0, 2.0, 3.0])
-        controls = np.column_stack([np.ones(3), 2 * D])
+        # the later column of a collinear control pair is named; a dependent
+        # regressor of interest gets its own message (TestFwl)
+        D = np.array([1.0, 2.0, 3.0, 5.0])
+        x = np.array([0.0, 1.0, 0.0, 2.0])
+        controls = np.column_stack([np.ones(4), x, 2 * x])
         data = make_data(
-            D, D, controls, [0, 1, 2], [0, 1, 2], names=("dose", "(intercept)", "dose2x")
+            D, D, controls, [0, 1, 2, 3], [0, 1, 2, 3], names=("dose", "(intercept)", "x", "x2")
         )
-        with pytest.raises(SingularDesignError, match="dose"):
-            ols_fit(data)
+        with pytest.raises(SingularDesignError, match="rank deficient at column 'x2'"):
+            _fit(data)
+
+    def test_fewer_rows_than_columns(self):
+        # columns past the last row are dependent; the first one is named
+        data = make_data([1.0, 2.0], [3.0, 1.0], np.column_stack([np.ones(2), [0.0, 1.0], [2.0, 5.0]]),
+                         [0, 1], [0, 1], names=("d", "(intercept)", "x", "z"))
+        with pytest.raises(SingularDesignError, match="rank deficient at column 'z'"):
+            _fit(data)
+
+    def test_orthogonality_check_catches_a_faulty_solve(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        data = random_regression(rng)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1.0)
+        with pytest.raises(FloatingPointError, match="orthogonality check failed"):
+            _fit(data)
 
 
 class TestFwl:
@@ -90,43 +105,47 @@ class TestFwl:
         rng = np.random.default_rng(0)
         D = rng.normal(size=12)
         data = make_data(rng.normal(size=12), D, np.ones((12, 1)), np.arange(12), np.arange(12))
-        D_tilde, _ = fwl_residualize(data)
+        _, D_tilde, ssd, _ = _fit(data)
         np.testing.assert_allclose(D_tilde, D - D.mean(), atol=1e-12)
+        assert ssd == D_tilde @ D_tilde
 
     def test_no_controls_is_identity(self):
         rng = np.random.default_rng(1)
         D = rng.normal(size=5)
         data = make_data(rng.normal(size=5), D, np.empty((5, 0)), np.arange(5), np.arange(5))
-        D_tilde, _ = fwl_residualize(data)
+        D_tilde = _fit(data)[1]
         np.testing.assert_array_equal(D_tilde, D)
 
     def test_orthogonal_to_controls(self):
         rng = np.random.default_rng(2)
         data = random_regression(rng)
-        D_tilde, Y_tilde = fwl_residualize(data)
+        _, D_tilde, _, u_hat = _fit(data)
         assert np.abs(data.controls.T @ D_tilde).max() < 1e-8
-        assert np.abs(data.controls.T @ Y_tilde).max() < 1e-8
+        assert np.abs(data.X.T @ u_hat).max() < 1e-8
 
     def test_collinear_regressor_flagged(self):
+        # inside the control span, whatever its scale
         ctrl = np.column_stack([np.ones(6), np.arange(6.0)])
-        D = 3.0 * np.arange(6.0) - 1.0  # inside the control span
-        data = make_data(np.arange(6.0) ** 2, D, ctrl, np.arange(6), np.arange(6))
-        index = build_index(data.scheme)
-        with pytest.raises(SingularDesignError):
-            fixed_design_inference(data, index)
+        for D in (3.0 * np.arange(6.0) - 1.0, np.zeros(6), np.full(6, 1e-9)):
+            data = make_data(np.arange(6.0) ** 2, D, ctrl, np.arange(6), np.arange(6))
+            index = build_index(data.scheme)
+            with pytest.raises(SingularDesignError, match="regressor of interest has no residual variation"):
+                fixed_design_inference(data, index)
 
     def test_huge_regressor_is_not_mistaken_for_constant(self):
-        # D'D overflows while D varies: the relative test reads exactly scaled copies
+        # D'D overflows while D varies: the rank test reads exactly scaled copies
         c = np.sqrt(7e306)  # D'D = 31 c^2 overflows, the residual ssd 18.75 c^2 does not
         D = c * np.array([1.0, -1.0, 2.0, 5.0])
         data = make_data(np.arange(4.0), D, np.ones((4, 1)), np.arange(4), np.arange(4))
-        ssd = _residual_ssd(data, fwl_residualize(data)[0])
+        with np.errstate(over="ignore"):  # the norm of X'Y in the orthogonality check overflows
+            ssd = _fit(data)[2]
         assert ssd == pytest.approx(18.75 * c * c, rel=1e-12)
-        # when the residual ssd itself overflows, the error says so
-        D = np.array([1e300, -1e300, 2e300, 5.0])
-        data = make_data(np.arange(4.0), D, np.ones((4, 1)), np.arange(4), np.arange(4))
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflows double"):
-            _residual_ssd(data, fwl_residualize(data)[0])
+        # when the residual ssd itself overflows or underflows, the error says so
+        for D, message in [([1e300, -1e300, 2e300, 5.0], "overflows double"),
+                           ([1e-170, 2e-170, 0.0, 5e-170], "underflows double")]:
+            data = make_data(np.arange(4.0), np.array(D), np.ones((4, 1)), np.arange(4), np.arange(4))
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=message):
+                _fit(data)
 
 
 class TestFixedDesign:
@@ -160,8 +179,9 @@ class TestFixedDesign:
         assert res.warnings
 
     def test_squared_denominator_overflow_does_not_raise(self):
-        # sum of D_tilde^2 near 1e201 is finite, its square is not; the
-        # variance scales as 1/c^2 when D_tilde is scaled by c
+        # sum of D_tilde^2 near 1e201 is finite, its square is not (and near
+        # 1e-199 its square underflows); the variance scales as 1/c^2 when
+        # D_tilde is scaled by c
         D = np.array([1.0, -2.0, 3.0, -1.0])
         index = build_index(ClusterScheme.from_labels([0, 0, 1, 1], [0, 1, 0, 1]))
 
@@ -169,8 +189,17 @@ class TestFixedDesign:
             pair_sum = cgm_raw(WeightedSample(W=Dt[:, None], omega=np.ones(4)), index).Q_hat[0, 0]
             return _slope_variance(float(pair_sum), float(Dt @ Dt))
 
-        unit, huge = variance(D), variance(D * 1e100)
+        unit, huge, tiny = variance(D), variance(D * 1e100), variance(D * 1e-100)
         assert unit > 0 and huge == pytest.approx(unit * 1e-200, rel=1e-12)
+        assert tiny == pytest.approx(unit * 1e200, rel=1e-12)
+
+    def test_overflowing_variance_raises(self):
+        # theta_hat is 5e154 and finite; its variance is beyond double precision
+        D, Y = np.array([1e-5, 0.0, -1e-300]), np.array([0.0, 3.0, -1e150])
+        data = make_data(Y, D, np.ones((3, 1)), [0, 1, 0], [0, 1, 2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="slope variance overflows"):
+                fixed_design_inference(data, build_index(data.scheme))
 
     def test_ci_is_symmetric_with_pinned_critical_value(self):
         rng = np.random.default_rng(4)
@@ -212,25 +241,40 @@ class TestStochasticDesign:
 
     def test_near_singular_design_rejected(self):
         n = 20
-        D = np.full(n, 1e-9)
-        data = make_data(np.ones(n), D, np.empty((n, 0)), np.arange(n), np.arange(n))
-        with pytest.raises(SingularDesignError):
+        x = np.random.default_rng(9).normal(size=n)
+        data = make_data(np.ones(n), 1e-9 * x, x[:, None], np.arange(n), np.arange(n))
+        with pytest.raises(SingularDesignError, match="no residual variation"):
             stochastic_design_inference(data, build_index(data.scheme))
+        # a small constant regressor without controls is a valid design
+        data = make_data(np.ones(n), np.full(n, 1e-9), np.empty((n, 0)), np.arange(n), np.arange(n))
+        res = stochastic_design_inference(data, build_index(data.scheme))
+        assert res.theta_hat == pytest.approx(1e9, rel=1e-14)
 
 
 class TestGram:
     def test_orthonormal_columns(self):
         n = 16
-        X = np.column_stack([np.ones(n), np.tile([1.0, -1.0], n // 2)])
+        D = np.tile([1.0, -1.0], n // 2)
+        data = make_data(np.arange(n, dtype=float), D, np.ones((n, 1)), np.arange(n), np.arange(n))
         # X'X/n = I for this balanced design
-        S, rank_lambda = _gram(X)
-        np.testing.assert_array_equal(S, n * np.eye(2))
-        assert rank_lambda == pytest.approx(1.0, abs=1e-12)
+        res = theta_inference(data, build_index(data.scheme))
+        assert res.rank_lambda == pytest.approx(1.0, abs=1e-12)
+
+    def test_scales_far_apart_leave_gram_singular(self):
+        # a control at 1e-300 passes the unit-free rank test, but its entry
+        # of X'X underflows to zero
+        x = 1e-300 * np.array([1.0, 2.0, 0.0, 5.0, 3.0])
+        data = make_data(np.array([1.0, 3.0, 2.0, 5.0, 4.0]), np.array([0.5, 2.0, 1.0, 3.0, 7.0]),
+                         np.column_stack([np.ones(5), x]), np.arange(5) % 2, np.arange(5) % 3)
+        with pytest.raises(FloatingPointError, match="X'X is not invertible in double precision"):
+            theta_inference(data, build_index(data.scheme))
 
     def test_collinear_columns_raise(self):
-        X = np.column_stack([np.ones(8), 2 * np.ones(8)])
-        with pytest.raises(SingularDesignError, match="rank condition"):
-            _gram(X)
+        ctrl = np.column_stack([np.ones(8), 2 * np.ones(8)])
+        data = make_data(np.arange(8.0), np.arange(8.0) % 3, ctrl, np.arange(8), np.arange(8),
+                         names=("d", "(intercept)", "two"))
+        with pytest.raises(SingularDesignError, match="rank deficient at column 'two'"):
+            theta_inference(data, build_index(data.scheme))
 
 
 class TestThetaInference:
@@ -241,28 +285,36 @@ class TestThetaInference:
         data = random_regression(rng)
         index = build_index(data.scheme)
         res = theta_inference(data, index)
-        beta = ols_fit(data)
+        beta = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
         assert res.theta_hat == pytest.approx(beta[0], rel=1e-8, abs=1e-12)
-        # residuals identity: u = Y_tilde - D_tilde * theta equals long residuals
+        # the residuals are those of the long regression
         long_resid = data.Y - data.X @ beta
         scale = max(1.0, np.abs(long_resid).max())
         assert np.abs(res.residuals - long_resid).max() <= 1e-8 * scale
         # sandwich (1,1) equals the residualized variance
         assert res.V_hat[0, 0] == pytest.approx(res.sigma_sq, rel=1e-8, abs=1e-15)
 
-    def test_affine_equivariance_in_d(self):
-        rng = np.random.default_rng(7)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.lists(st.integers(min_value=-8, max_value=8), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_affine_equivariance_in_d(self, seed, powers):
+        # d and each control rescaled by 10^k: the rank decision, the sandwich
+        # cross-check and the t statistic do not depend on units
+        rng = np.random.default_rng(seed)
         data = random_regression(rng)
         index = build_index(data.scheme)
         base = theta_inference(data, index)
-        c = 4.0
+        c_d, *c_w = 10.0 ** np.array(powers)
+        K = data.controls.shape[1]
         scaled = RegressionData(
-            Y=data.Y, D=c * data.D, controls=data.controls, scheme=data.scheme
+            Y=data.Y, D=c_d * data.D, controls=data.controls * c_w[:K], scheme=data.scheme
         )
         res = theta_inference(scaled, index)
-        assert res.theta_hat == pytest.approx(base.theta_hat / c, rel=1e-9)
-        assert res.sigma_hat == pytest.approx(base.sigma_hat / c, rel=1e-9)
-        assert res.t_stat == pytest.approx(base.t_stat, rel=1e-9)
+        assert res.theta_hat == pytest.approx(base.theta_hat / c_d, rel=1e-9)
+        assert res.sigma_sq == pytest.approx(base.sigma_sq / c_d**2, rel=1e-9)  # may be negative
+        assert res.t_stat == pytest.approx(base.t_stat, rel=1e-9)  # None when it is
 
     def test_hand_computed_small_case(self):
         # n=4, intercept-only controls, symmetric D

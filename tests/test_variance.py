@@ -48,6 +48,15 @@ class TestJacobi:
         with pytest.raises(FloatingPointError):
             smallest_eigenvalue(np.array([[1.0, bad], [bad, 1.0]]))
 
+    def test_non_convergence_raises_floating_point_error(self, monkeypatch):
+        # LAPACK gives up on some matrices whose entries span 1e-14 to 1e270
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            smallest_eigenvalue(np.eye(2))
+
     def test_identity(self):
         vals, vecs = symmetric_eigh(np.eye(3))
         np.testing.assert_array_equal(vals, np.ones(3))
