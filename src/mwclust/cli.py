@@ -14,6 +14,7 @@ import csv
 import json
 import operator
 import sys
+import warnings
 from dataclasses import fields as dc_fields, replace
 from itertools import chain
 
@@ -224,31 +225,101 @@ def _weights(path: str, col: str, values: list[str]) -> np.ndarray:
     return out
 
 
-def _read_clustered(args, columns: list[str]) -> tuple[dict[str, list[str]], ClusterScheme]:
-    """Read ``columns``, the two ``--cluster`` columns and any ``--weight``; build the scheme."""
+def _needs_csv(path: str) -> bool:
+    """Whether a file may read differently in numpy's C parser than in ``csv`` and ``float``.
+
+    That is a file with a quote, with a byte 0x1C-0x1F (``float`` keeps these
+    around a number, numpy strips them) or with a line that may be longer than
+    ``csv.field_size_limit()``, which ``csv`` rejects even in a column not
+    read. Such a line covers a whole block of limit // 2 + 1 bytes starting
+    at a multiple of that size, so a newline in every such block rules it out.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    step = csv.field_size_limit() // 2 + 1
+    return any(c in data for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")) or any(
+        data.find(b"\n", k, k + step) < 0 for k in range(0, len(data) - step + 1, step)
+    )
+
+
+def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: str):
+    """What ``_read_clustered`` reads, from one pass of numpy's C parser, or None.
+
+    ``np.loadtxt`` reads the same lines as ``csv.reader``, header excepted,
+    and on a file that ``_needs_csv`` passes it splits them into the same
+    fields. Any error or warning, a short row, an empty label, a weight that
+    is not positive or a value that is not finite before or after weighting
+    returns None: the ``csv`` path then reads the file again and names the
+    first bad cell.
+    """
+    numeric = list(dict.fromkeys([*columns, *([weight] if weight else [])]))
+    labels = list(dict.fromkeys(cluster_cols))
+    names = [*numeric, *labels]
+    if len(set(names)) < len(names):  # a column read both as a number and as a label
+        return None
+    try:
+        if _needs_csv(path):
+            return None
+        with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # "input contained no data" among others
+            header = next(csv.reader(fh), [])
+            if any(header.count(c) != 1 for c in names):
+                return None
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, ndmin=1,
+                dtype=[(str(j), float if j < len(numeric) else object) for j in range(len(names))],
+                usecols=[header.index(c) for c in names],
+            )
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    if caught:
+        return None
+    cells = {c: table[str(j)] for j, c in enumerate(names)}
+    w = cells[weight].copy() if weight else None
+    if w is not None and not (np.isfinite(w).all() and (w > 0).all()):
+        return None
+    root = None if w is None else np.sqrt(w)
+    values = {c: cells[c] * root if weight else cells[c].copy() for c in columns}
+    if not all(np.isfinite(v).all() for v in values.values()):
+        return None
+    label_lists = [cells[c].tolist() for c in cluster_cols]
+    if any("" in lab for lab in label_lists):
+        return None
+    return w, values, label_lists
+
+
+def _read_clustered(args, columns: list[str]):
+    """Weights (or None), each numeric column times the weights' square root, and the scheme.
+
+    Reads ``columns``, the two ``--cluster`` columns and any ``--weight``:
+    with ``_read_clean`` when it can, else with ``_read_table``, whose
+    parsers check the weights first, then ``columns`` in order.
+    """
     cluster_cols = args.cluster.split(",")
     if len(cluster_cols) != 2:
         raise DataError("--cluster requires exactly two comma-separated columns")
-    table = _read_table(args.data, [*columns, *cluster_cols, *([args.weight] if args.weight else [])])
-    scheme = ClusterScheme.from_labels(
-        table[cluster_cols[0]], table[cluster_cols[1]], dims=tuple(cluster_cols)
-    )
-    return table, scheme
+    clean = _read_clean(args.data, columns, cluster_cols, args.weight)
+    if clean is None:
+        table = _read_table(args.data, [*columns, *cluster_cols, *([args.weight] if args.weight else [])])
+        w = _weights(args.data, args.weight, table[args.weight]) if args.weight else None
+        # analytic weights: rescale rows, clusters untouched
+        root = None if w is None else np.sqrt(w)
+        values = {c: _floats(args.data, c, table[c], root) for c in columns}
+        clean = w, values, [table[c] for c in cluster_cols]
+    w, values, label_lists = clean
+    scheme = ClusterScheme.from_labels(*label_lists, dims=tuple(cluster_cols))
+    return w, values, scheme
 
 
 def _build_regression(args) -> RegressionData:
     control_cols = [c for c in (args.controls.split(",") if args.controls else []) if c]
-    table, scheme = _read_clustered(args, [args.y, args.d, *control_cols])
-    # analytic weights: rescale rows, clusters untouched
-    root = np.sqrt(_weights(args.data, args.weight, table[args.weight])) if args.weight else None
-    Y = _floats(args.data, args.y, table[args.y], root)
-    D = _floats(args.data, args.d, table[args.d], root)
+    w, values, scheme = _read_clustered(args, [args.y, args.d, *control_cols])
+    Y = values[args.y]
     controls = np.column_stack(
-        [np.ones(Y.size) if root is None else root]
-        + [_floats(args.data, c, table[c], root) for c in control_cols]
+        [np.ones(Y.size) if w is None else np.sqrt(w)] + [values[c] for c in control_cols]
     )
     names = (args.d, "(intercept)", *control_cols)
-    return RegressionData(Y=Y, D=D, controls=controls, scheme=scheme, column_names=names)
+    return RegressionData(Y=Y, D=values[args.d], controls=controls, scheme=scheme, column_names=names)
 
 
 def cmd_estimate(args) -> int:
@@ -422,13 +493,9 @@ def cmd_diagnose(args) -> int:
         index = build_index(data.scheme)
         _, weights, _, _ = _fit(data)
     else:
-        table, scheme = _read_clustered(args, [])
+        w, _, scheme = _read_clustered(args, [])
         index = build_index(scheme)
-        weights = (
-            _weights(args.data, args.weight, table[args.weight])
-            if args.weight
-            else np.ones(scheme.n)
-        )
+        weights = np.ones(scheme.n) if w is None else w
     results = {"L_per_dim": leverage_L(index, weights), "n": index.n}
     warnings.append(
         "data mode: dependence indicator unobservable; only leverage reported"

@@ -2,9 +2,11 @@
 
 The slope's clustered variance from the residualized (FWL) regression equals
 the (1,1) element of the full two-way sandwich. ``theta_inference`` fits once
-and forms one pair sum over the stacked scores [u_hat * D_tilde | X * u]: its
+and forms one pair sum over the stacked scores [u_hat * D_tilde | X_s * u]: its
 first diagonal entry gives the residualized variance, the rest the sandwich
-meat, and the two routes are cross-checked.
+meat, and the two routes are cross-checked. X_s is X with each column scaled
+by a power of two, so the sandwich is formed in no particular units and
+unscaled exactly.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ class InferenceResult:
     rank_lambda: float | None = None  # smallest eigenvalue of X'X/n
 
 
+def _pow2_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A with each column divided by a power of two, to a largest magnitude in [0.5, 1), and the exponents.
+
+    The division is exact, and sums of squares of the scaled columns cannot overflow.
+    """
+    e = np.frexp(np.abs(A).max(axis=0))[1]
+    return np.ldexp(A, -e), e
+
+
 def _fit(data: RegressionData):
     """(beta, D_tilde, ssd, u_hat) from one QR of the design [controls | D].
 
@@ -94,10 +105,8 @@ def _fit(data: RegressionData):
     coefficients come from the triangular solve given the slope. Without
     controls D_tilde is D itself, so an exact fit leaves exactly zero residuals.
     """
-    Z = np.column_stack([data.controls, data.D])
-    n, k = Z.shape
-    e = np.frexp(np.abs(Z).max(axis=0))[1]
-    Zs = np.ldexp(Z, -e)
+    Zs, e = _pow2_scaled(np.column_stack([data.controls, data.D]))
+    n, k = Zs.shape
     q, r = np.linalg.qr(Zs)
     ssq = np.einsum("ij,ij->j", Zs, Zs)[: min(n, k)]
     bad = np.flatnonzero(np.diag(r) ** 2 <= RANK_LAMBDA_MIN * ssq)
@@ -124,10 +133,10 @@ def _fit(data: RegressionData):
     theta = float(D_tilde @ data.Y) / ssd
     gamma = np.linalg.solve(r[:-1, :-1], Qw.T @ data.Y - r[:-1, -1] * np.ldexp(theta, e[-1]))
     beta = np.concatenate([[theta], np.ldexp(gamma, -e[:-1])])  # in the order of data.X
-    X = data.X
-    u_hat = data.Y - X @ beta
-    ref = np.linalg.norm(X.T @ data.Y)
-    if ref > 0 and np.linalg.norm(X.T @ u_hat) > 1e-8 * ref:
+    u_hat = data.Y - data.X @ beta
+    Ys, ey = _pow2_scaled(data.Y)  # on scaled columns X'Y cannot overflow
+    ref = np.linalg.norm(Zs.T @ Ys)
+    if not (ref < np.inf and (ref == 0 or np.linalg.norm(Zs.T @ np.ldexp(u_hat, -ey)) <= 1e-8 * ref)):
         raise FloatingPointError("normal-equation residual orthogonality check failed")
     return beta, D_tilde, ssd, u_hat
 
@@ -144,23 +153,30 @@ def _slope_variance(pair_sum: float, ssd: float) -> float:
     return pair_sum / ssd / ssd  # (sum Dt^2)^2 can leave the double range; dividing twice does not
 
 
-def _gram(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """(X'X)^-1 and the smallest eigenvalue of X'X/n, reported; ``_fit`` decides rank.
+def _gram(X: np.ndarray):
+    """(X_s, e, (X_s'X_s)^-1, smallest eigenvalue of X'X/n) with X_s, e = ``_pow2_scaled(X)``.
 
-    Columns whose scales lie far apart, say 1e-170 and 1, pass the unit-free
-    rank test yet leave X'X singular in double precision.
+    The eigenvalue is reported in the units of X; ``_fit`` decides rank.
     """
-    S = X.T @ X
-    rank_lambda = smallest_eigenvalue(S / X.shape[0])
+    Xs, e = _pow2_scaled(X)
+    S = Xs.T @ Xs
+    rank_lambda = smallest_eigenvalue(np.ldexp(S, np.add.outer(e, e)) / X.shape[0])
     try:
-        return np.linalg.inv(S), rank_lambda
+        return Xs, e, np.linalg.inv(S), rank_lambda
     except np.linalg.LinAlgError as exc:
         raise FloatingPointError(f"X'X is not invertible in double precision: {exc}") from None
 
 
-def _sandwich(S_inv: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """S^-1 Q S^-1: the covariance of the coefficients, with bread X'X and meat Q."""
-    return S_inv @ Q @ S_inv
+def _sandwich(S_inv: np.ndarray, Q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Covariance of the coefficients from the scaled bread S^-1 and meat Q of ``_gram``'s X_s.
+
+    With X = X_s 2^e, the entry (i, j) of S^-1 Q S^-1 is exactly 2^(e_i + e_j)
+    times that of the covariance.
+    """
+    V = np.ldexp(S_inv @ Q @ S_inv, -np.add.outer(e, e))
+    if not np.isfinite(V).all():
+        raise FloatingPointError("sandwich variance overflows double precision")
+    return V
 
 
 def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) -> InferenceResult:
@@ -194,9 +210,8 @@ def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> In
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Full sandwich inference treating the regressors as random."""
     beta, D_tilde, _, u_hat = _fit(data)
-    X = data.X
-    S_inv, rank_lambda = _gram(X)
-    V_hat = _sandwich(S_inv, _pair_sum(X * u_hat[:, None], index))
+    Xs, e, S_inv, rank_lambda = _gram(data.X)
+    V_hat = _sandwich(S_inv, _pair_sum(Xs * u_hat[:, None], index), e)
     return _finish_scalar(
         beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat, rank_lambda=rank_lambda
     )
@@ -205,18 +220,17 @@ def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) 
 def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Slope inference via the residualized route, cross-checked against the sandwich.
 
-    One fit and one pair sum over the stacked scores [u_hat * D_tilde | X * u];
+    One fit and one pair sum over the stacked scores [u_hat * D_tilde | X_s * u];
     asserts the numeric identity between the (1,1) element of the full
     sandwich and the residualized variance formula.
     """
     beta, D_tilde, ssd, u_hat = _fit(data)
-    X = data.X
-    S_inv, rank_lambda = _gram(X)
-    scores = np.vstack([u_hat * D_tilde, X.T * u_hat])  # one score per row
+    Xs, e, S_inv, rank_lambda = _gram(data.X)
+    scores = np.vstack([u_hat * D_tilde, Xs.T * u_hat])  # one score per row
     Q = _pair_sum(scores.T, index)  # a view whose columns cluster_sums reads without a copy
     pair_sum = float(Q[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)
-    V_hat = _sandwich(S_inv, Q[1:, 1:])
+    V_hat = _sandwich(S_inv, Q[1:, 1:], e)
     scale = max(abs(sigma_sq), abs(float(V_hat[0, 0])), 1e-300)
     if not abs(sigma_sq - float(V_hat[0, 0])) <= 1e-8 * scale:  # NaN fails too
         raise FloatingPointError(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mwclust.cli import DataError, _floats, _read_table, main
+from mwclust import cli
+from mwclust.cli import DataError, _floats, _read_clustered, _read_table, main
 from mwclust.clusters import NeighborhoodIndex
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +94,30 @@ RECORDS = st.lists(
     max_size=8,
 )
 HEADERS = st.sampled_from([["y", "d", "g", "h"], ["d", "y", "h", "g", "x"], ["y", "g", "h"], ["y"]])
+
+
+def clustered_outcome(path, columns, weight):
+    """What ``_read_clustered`` returns for clusters ``g,h``, as bytes, or its error message."""
+    args = argparse.Namespace(data=str(path), cluster="g,h", weight=weight)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, values, scheme = _read_clustered(args, columns)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return (
+        None if w is None else w.tobytes(),
+        {c: (v.dtype.str, v.tobytes()) for c, v in values.items()},
+        scheme.dims,
+        [lab.tobytes() for lab in scheme.labels],
+        scheme.label_values,
+    )
+
+
+def without_c_pass(monkeypatch, fn, *args):
+    """``fn(*args)`` with the C-parser pass stepping aside, so the csv path reads every file."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_clean", lambda *a: None)
+        return fn(*args)
 
 
 def csv_text(header, records, lineterminator):
@@ -521,6 +547,140 @@ class TestIngest:
             tmp_path, capsys, header, records,
             [["diagnose"], ["diagnose", "--weight", "w"], model, [*model, "--weight", "w", "--controls", "w"]],
         )
+
+    @FUZZ
+    @given(
+        header=HEADERS | FUZZ_FILES["header"],
+        records=RECORDS | FUZZ_FILES["records"],
+        lineterminator=st.sampled_from(["\n", "\r\n", "\r"]),
+        raw=st.none() | st.text(alphabet='yd,"\n\r 1.5e_an', max_size=60),
+        model=st.sampled_from([([], ""), ([], "w"), (["y", "d"], ""), (["y", "d"], "w"), (["d", "y", "w"], "w")]),
+    )
+    def test_c_pass_matches_csv_path(self, tmp_path, monkeypatch, header, records, lineterminator, raw, model):
+        p = tmp_path / "fuzz.csv"
+        text = csv_text(header, records, lineterminator) if raw is None else "y,d,g,h,w\n" + raw
+        p.write_text(text, encoding="utf-8", newline="")
+        columns, weight = model
+        got = clustered_outcome(p, columns, weight)
+        assert got == without_c_pass(monkeypatch, clustered_outcome, p, columns, weight)
+
+    # shaped like the benchmark's file: quote-free, string labels, a weight and two controls
+    CLEAN = "\n".join([
+        "y,d,x,x2,g,h,w",
+        "1.5,0.5,1,0.5,f0,m0,1", "-0.25,1,0,1.5,f0,m1,2", "3,-2,2,0.5,f1,m2,0.5",
+        "2,3.25,1,-1,f1,m0,1", "7.5,4,3,2,f2,m1,1.5", "0.125,0,5,0.25,f2,m2,2",
+        "-4,1.5,8,1,f3,m0,1", "6,-1,0.5,3,f3,m1,0.25", "2.5,2,2,0,f4,m2,1", "1,5,1,1,f4,m0,3",
+    ]) + "\n"
+
+    @pytest.mark.parametrize(
+        "edits, code",
+        [
+            ([], 0),
+            ([(",f1,m2,", ",#f1,m2,")], 0),  # not a comment
+            ([("\n2.5,", "\n#2.5,")], 2),
+            ([(",f2,m1,", ',"f2\r\nx",m1,')], 0),  # quoted CRLF: one label
+            ([("\n", "\r")], 0),
+            ([("\n", "\r\n")], 0),
+            ([("w\n", "w,note\n"), ("m2,0.5\n", "m2,0.5," + "z" * 140_000 + "\n")], 2),
+            ([("\n2.5,", "\n2_5,")], 0),  # float reads 25.0, numpy refuses
+            ([("\n0.125,", "\n\x1c0.125,")], 2),  # numpy strips 0x1C, float does not
+            ([(",f3,m1,", ",,m1,")], 2),
+            ([("\n6,", "\n1e300,"), ("m1,0.25\n", "m1,1e300\n")], 2),  # not finite after weighting
+            ([("m1,0.25\n", "m1,0\n")], 2),
+            ([(CLEAN.split("\n", 1)[1], "")], 2),  # the header only
+            ([("\n2,3.25,", "\n   \n2,3.25,")], 2),
+            ([("\n2,3.25,", "\n\n\n2,3.25,")], 0),
+            ([("m2", "m2\x00")], 0),
+            ([("\n7.5,", "\n7.5\n")], 2),
+        ],
+        ids=["clean", "hash-label", "hash-number", "quoted-crlf", "bare-cr", "crlf", "oversized-ignored-field",
+             "underscore", "separator-0x1c", "empty-label", "weighted-overflow", "zero-weight",
+             "header-only", "whitespace-row", "blank-lines", "nul-label", "short-row"],
+    )
+    @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d", "--controls", "x"], ["diagnose"]])
+    def test_c_pass_hazards_match_csv_path(self, tmp_path, monkeypatch, capsys, edits, code, command):
+        text = self.CLEAN
+        for old, new in edits:
+            text = text.replace(old, new)
+        p = tmp_path / "hazard.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        argv = [*command, "--data", str(p), "--cluster", "g,h", "--weight", "w"]
+        got = run_cli(argv, capsys)
+        assert got == without_c_pass(monkeypatch, run_cli, argv, capsys)
+        if command[0] == "estimate":
+            assert got[0] == code
+
+    @pytest.mark.parametrize(
+        "edit, reads",
+        [((), 0), ((",m1,", ',"m1",'), 1), (("\n2,", "\n2_0,"), 1)],
+        ids=["clean", "quoted-label", "underscore"],
+    )
+    def test_clean_file_takes_the_c_pass(self, tmp_path, monkeypatch, capsys, edit, reads):
+        p = tmp_path / "bench.csv"
+        p.write_text(self.CLEAN.replace(*edit) if edit else self.CLEAN, encoding="utf-8", newline="")
+        calls = []
+        read_table = cli._read_table
+        monkeypatch.setattr(cli, "_read_table", lambda *a: calls.append(a) or read_table(*a))
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--controls", "x,x2", "--weight", "w",
+             "--cluster", "g,h", "--dof-correction", "--psd-project"],
+            capsys,
+        )
+        assert (code, err, len(calls)) == (0, "", reads)
+        check_report(out)
+
+
+def inclusion_exclusion_scale(X, Y, g, h):
+    """Diagonal of the one-way sandwiches on g, on h and on their cells, added.
+
+    The two-way variance is their signed sum, so this is the size of the
+    terms whose rounding it carries when it nearly cancels.
+    """
+    bread = np.linalg.inv(X.T @ X)
+    scores = X * (Y - X @ (bread @ (X.T @ Y)))[:, None]
+    scale = np.zeros(X.shape[1])
+    for labels in (g, h, g * (h.max() + 1) + h):
+        sums = np.zeros((labels.max() + 1, X.shape[1]))
+        np.add.at(sums, labels, scores)
+        scale += np.diag(bread @ sums.T @ sums @ bread)
+    return scale
+
+
+class TestInvariance:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), weighted=st.booleans())
+    def test_estimate_ignores_row_order_and_cluster_names(self, tmp_path, capsys, seed, n, weighted):
+        # rows permuted and labels renamed by a bijection, read through the CSV ingest
+        rng = np.random.default_rng(seed)
+        g, h = rng.integers(0, 4, n), rng.integers(0, 5, n)
+        d = rng.normal(size=n) + rng.normal(size=4)[g]
+        x = rng.normal(size=n)
+        y = d + 0.5 * x + rng.normal(size=4)[g] + rng.normal(size=5)[h] + rng.normal(size=n)
+        w = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
+        renamed_g = [f"firm {k}" for k in rng.permutation(4)]
+        renamed_h = [f"m-{k * 7 % 5}x" for k in range(5)]
+        p = tmp_path / "data.csv"
+        argv = ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--controls", "x", "--cluster", "g,h",
+                *(["--weight", "w"] if weighted else [])]
+        cells = list(zip(y.tolist(), d.tolist(), x.tolist(), w.tolist()))  # Python floats repr in full
+
+        def estimate(rows, g_names, h_names):
+            p.write_text("y,d,x,w,g,h\n" + "".join(
+                "{!r},{!r},{!r},{!r},".format(*cells[i]) + f"{g_names[g[i]]},{h_names[h[i]]}\n" for i in rows
+            ))
+            code, out, err = run_cli(argv, capsys)
+            return code, err, check_report(out)["results"] if code == 0 else None
+
+        base = estimate(np.arange(n), [f"g{k}" for k in range(4)], [f"h{k}" for k in range(5)])
+        moved = estimate(rng.permutation(n), renamed_g, renamed_h)
+        assert base[:2] == moved[:2]
+        if base[0] == 0:
+            # a variance may nearly cancel; its rounding is relative to the terms it adds up
+            root = np.sqrt(w)
+            scale = inclusion_exclusion_scale(np.column_stack([d, np.ones(n), x]) * root[:, None], y * root, g, h)
+            assert moved[2]["theta_hat"] == pytest.approx(base[2]["theta_hat"], rel=1e-12)
+            assert abs(moved[2]["sigma_sq"] - base[2]["sigma_sq"]) <= 1e-12 * scale[0]
+            assert (np.abs(np.subtract(moved[2]["V_hat_diag"], base[2]["V_hat_diag"])) <= 1e-12 * scale).all()
 
 
 class TestSimulate:

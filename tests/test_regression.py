@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,18 @@ class TestOlsFit:
         with pytest.raises(FloatingPointError, match="orthogonality check failed"):
             _fit(data)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_orthogonality_check_fires_where_x_prime_y_overflows(self, monkeypatch):
+        # |X'Y|^2 overflows in the units of D; the check reads power-of-two scaled columns
+        D = np.sqrt(7e306) * np.array([1.0, -1.0, 2.0, 5.0])
+        data = make_data(np.arange(4.0), D, np.ones((4, 1)), np.arange(4), np.arange(4))
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(data.X.T @ data.Y) == np.inf
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1.0)
+        with pytest.raises(FloatingPointError, match="orthogonality check failed"):
+            _fit(data)
+
 
 class TestFwl:
     def test_intercept_only_demeans(self):
@@ -137,7 +151,8 @@ class TestFwl:
         c = np.sqrt(7e306)  # D'D = 31 c^2 overflows, the residual ssd 18.75 c^2 does not
         D = c * np.array([1.0, -1.0, 2.0, 5.0])
         data = make_data(np.arange(4.0), D, np.ones((4, 1)), np.arange(4), np.arange(4))
-        with np.errstate(over="ignore"):  # the norm of X'Y in the orthogonality check overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             ssd = _fit(data)[2]
         assert ssd == pytest.approx(18.75 * c * c, rel=1e-12)
         # when the residual ssd itself overflows or underflows, the error says so
@@ -260,14 +275,27 @@ class TestGram:
         res = theta_inference(data, build_index(data.scheme))
         assert res.rank_lambda == pytest.approx(1.0, abs=1e-12)
 
-    def test_scales_far_apart_leave_gram_singular(self):
-        # a control at 1e-300 passes the unit-free rank test, but its entry
-        # of X'X underflows to zero
-        x = 1e-300 * np.array([1.0, 2.0, 0.0, 5.0, 3.0])
-        data = make_data(np.array([1.0, 3.0, 2.0, 5.0, 4.0]), np.array([0.5, 2.0, 1.0, 3.0, 7.0]),
-                         np.column_stack([np.ones(5), x]), np.arange(5) % 2, np.arange(5) % 3)
-        with pytest.raises(FloatingPointError, match="X'X is not invertible in double precision"):
-            theta_inference(data, build_index(data.scheme))
+    @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-300])
+    def test_scales_far_apart_overflow_only_the_control_variance(self, c):
+        # a control at scale c passes the unit-free rank test; its entry of
+        # X'X underflows, but the sandwich is formed on power-of-two scaled
+        # columns, so the slope's variance does not depend on c
+        def fit(c):
+            x = c * np.array([1.0, 2.0, 0.0, 5.0, 3.0])
+            data = make_data(np.array([1.0, 3.0, 2.0, 5.0, 4.0]), np.array([0.5, 2.0, 1.0, 3.0, 7.0]),
+                             np.column_stack([np.ones(5), x]), np.arange(5) % 2, np.arange(5) % 3)
+            return theta_inference(data, build_index(data.scheme))
+
+        base = fit(1.0)
+        if c >= 1e-155:  # the control's variance, about 1/c^2, is still a double
+            res = fit(c)
+            assert res.V_hat[0, 0] == pytest.approx(base.V_hat[0, 0], rel=1e-13)
+            assert res.V_hat[2, 2] * c * c == pytest.approx(base.V_hat[2, 2], rel=1e-13)
+        else:
+            with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="sandwich variance overflows double precision"
+            ):
+                fit(c)
 
     def test_collinear_columns_raise(self):
         ctrl = np.column_stack([np.ones(8), 2 * np.ones(8)])
