@@ -191,6 +191,8 @@ class NeighborhoodIndex:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return [np.bincount(lab, weights=x, minlength=m) for lab, m in self._groups]
+        if x.shape[1] == 1:  # the same bincount, without the transposing copy and the stack
+            return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in self._groups]
         cols = np.ascontiguousarray(x.T)  # one transposing copy, not one strided copy per column
         return [
             np.column_stack([np.bincount(lab, weights=col, minlength=m) for col in cols])

@@ -3,7 +3,8 @@
 Each variant ships an oracle carrying exact means, the exact variance of
 the weighted sum, the true pairwise dependence indicator, and (where the
 additive structure allows) closed-form third moments. Replication streams
-are counter-based so parallel generation is replication-stable.
+are counter-based so parallel generation is replication-stable; a study
+draws every stream from one ``Streams`` generator whose counter it resets.
 """
 
 from __future__ import annotations
@@ -106,9 +107,39 @@ def _schedule(base: float, count: int, hetero: bool) -> np.ndarray:
     return np.full(count, base)
 
 
-def _stream(seed: int, rep: int, comp: int) -> np.random.Generator:
-    counter = np.array([0, 0, rep, comp], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+class Streams:
+    """Counter-based Philox streams of one seed, all drawn from one generator.
+
+    ``streams(rep, comp)`` returns the shared generator in the state of a
+    freshly built ``Philox(key=seed, counter=[0, 0, rep, comp])``, so it draws
+    that stream bit for bit, for a fraction of the cost of building one. The
+    whole fresh state is restored, not the counter alone: a draw can leave a
+    buffered word or a cached 32-bit half behind. Each call resets the same
+    generator, so draw from one stream before asking for the next, and do not
+    share a helper between threads (the package starts none).
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._bits = np.random.Philox(key=np.uint64(seed))
+        self._rng = np.random.Generator(self._bits)
+        self._fresh = self._bits.state  # empty buffer, no cached half word
+        self._counter = self._fresh["state"]["counter"]
+
+    def __call__(self, rep: int, comp: int) -> np.random.Generator:
+        self._counter[2] = rep
+        self._counter[3] = comp
+        self._bits.state = self._fresh
+        return self._rng
+
+
+def _streams_for(seed: int, streams: Streams | None) -> Streams:
+    """``streams``, or a new helper when it is None; raises ValueError on a helper of another seed."""
+    if streams is None:
+        return Streams(seed)
+    if streams.seed != seed:
+        raise ValueError(f"stream helper has seed {streams.seed}, the design has seed {seed}")
+    return streams
 
 
 def _draw(rng: np.random.Generator, dist: str, size: int) -> np.ndarray:
@@ -274,22 +305,27 @@ def _triple_oracle(spec: DgpSpec, scheme: ClusterScheme, lay: _Layout) -> Moment
     )
 
 
-def draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
-    """One replication of the outcome vector, a fresh array. Deterministic in (seed, rep)."""
+def draw(spec: DgpSpec, rep: int = 0, streams: Streams | None = None) -> np.ndarray:
+    """One replication of the outcome vector, a fresh array. Deterministic in (seed, rep).
+
+    A study passes one ``Streams(spec.seed)`` to every replication; without
+    it, ``draw`` builds its own, with the same result.
+    """
+    stream = _streams_for(spec.seed, streams)
     lay = _layout(spec)
     if spec.variant == "nonzero-mean-triple":
-        a = _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, spec.M)
-        c = _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, spec.M)
+        a = _draw(stream(rep, COMP_ALPHA), spec.dist_alpha, spec.M)
+        c = _draw(stream(rep, COMP_GAMMA), spec.dist_gamma, spec.M)
         return lay.mean + a[lay.block] * lay.load_a + c[lay.block] * lay.load_c
 
     n = lay.g.size
     if spec.variant == "iid-conservative":
-        return lay.se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
-    alpha = lay.sa * _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, spec.M)
-    gamma = lay.sg * _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, spec.M)
+        return lay.se * _draw(stream(rep, COMP_EPS), spec.dist_eps, n)
+    alpha = lay.sa * _draw(stream(rep, COMP_ALPHA), spec.dist_alpha, spec.M)
+    gamma = lay.sg * _draw(stream(rep, COMP_GAMMA), spec.dist_gamma, spec.M)
     if spec.variant == "interactive-chaos":
         return alpha[lay.g] * gamma[lay.h]
-    eps = lay.se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+    eps = lay.se * _draw(stream(rep, COMP_EPS), spec.dist_eps, n)
     return alpha[lay.g] + gamma[lay.h] + eps
 
 

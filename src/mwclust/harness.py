@@ -2,7 +2,8 @@
 
 Per-replication randomness is derived from (seed, replication id) with
 counter-based streams, so results are identical for any worker count and
-aggregation is order-independent.
+aggregation is order-independent. Each study draws all its streams from one
+``Streams`` helper.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from mwclust.clusters import ClusterScheme, WeightedSample, build_index
-from mwclust.dgp import DgpSpec, _stream, draw, structure, true_bias_term
+from mwclust.dgp import DgpSpec, Streams, _streams_for, draw, structure, true_bias_term
 from mwclust.regression import RegressionData, Z_CRIT_95, fixed_design_inference
 from mwclust.variance import cgm_demeaned, cgm_raw
 
@@ -69,20 +70,23 @@ def ks_statistic(samples) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def regression_replication(spec: DgpSpec, scheme: ClusterScheme, rep: int) -> RegressionData:
+def regression_replication(
+    spec: DgpSpec, scheme: ClusterScheme, rep: int, streams: Streams | None = None
+) -> RegressionData:
     """Replication ``rep`` of the regression target, Y = theta D + intercept + W.
 
     The regressor has one component per G and per H cluster, so that
     clustering matters, plus idiosyncratic noise; all draws are keyed by
-    ``spec.seed`` and ``rep``.
+    ``spec.seed`` and ``rep``, and come from ``streams`` as in ``draw``.
     """
+    stream = _streams_for(spec.seed, streams)
     g, h = scheme.labels
     C_G, C_H = scheme.n_clusters
-    da = _stream(spec.seed, rep, COMP_D_ALPHA).standard_normal(C_G)
-    dg = _stream(spec.seed, rep, COMP_D_GAMMA).standard_normal(C_H)
-    nu = _stream(spec.seed, rep, COMP_D_NOISE).standard_normal(g.size)
+    da = stream(rep, COMP_D_ALPHA).standard_normal(C_G)
+    dg = stream(rep, COMP_D_GAMMA).standard_normal(C_H)
+    nu = stream(rep, COMP_D_NOISE).standard_normal(g.size)
     D = D_CLUSTER_SHARE * (da[g] + dg[h]) + nu
-    Y = THETA_TRUE * D + INTERCEPT_TRUE + draw(spec, rep)
+    Y = THETA_TRUE * D + INTERCEPT_TRUE + draw(spec, rep, stream)
     return RegressionData(
         Y=Y, D=D, controls=np.ones((g.size, 1)), scheme=scheme, column_names=("d", "(intercept)")
     )
@@ -103,6 +107,7 @@ def run_coverage(
     scheme, oracle = structure(spec)
     index = build_index(scheme)
     spec = replace(spec, seed=seed)
+    streams = Streams(seed)
     n = scheme.n
     report = McReport(reps=reps, seed=seed, bias_term=true_bias_term(oracle))
     if oracle.true_Q <= 0:
@@ -118,7 +123,7 @@ def run_coverage(
     ones = np.ones(n)
     for r in range(reps):
         if target == "mean":
-            W = draw(spec, r)
+            W = draw(spec, r, streams)
             pivots[r] = (W.sum() - mu.sum()) / sigma_true
             sample = WeightedSample(W=W[:, None], omega=ones)
             mean, est = cgm_demeaned(sample, index)
@@ -131,7 +136,7 @@ def run_coverage(
             if abs(float(mean[0]) - mu_bar) <= half:
                 covered += 1
         else:
-            res = fixed_design_inference(regression_replication(spec, scheme, r), index)
+            res = fixed_design_inference(regression_replication(spec, scheme, r, streams), index)
             if res.sigma_sq <= 0:
                 report.rejection_flags += 1
                 pivots[r] = np.nan
@@ -162,6 +167,7 @@ def run_consistency(
 ) -> McReport:
     """Trace the variance-estimate-to-truth ratio over growing cluster counts."""
     report = McReport(reps=reps, seed=seed)
+    streams = Streams(seed)
     for M in n_sweep:
         spec_m = replace(spec, M=int(M), seed=seed)
         scheme, oracle = structure(spec_m)
@@ -171,7 +177,7 @@ def run_consistency(
         ones = np.ones(scheme.n)
         ratios = np.empty(reps)
         for r in range(reps):
-            W = draw(spec_m, r)
+            W = draw(spec_m, r, streams)
             sample = WeightedSample(W=W[:, None], omega=ones)
             if demean:
                 _, est = cgm_demeaned(sample, index)

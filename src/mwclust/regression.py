@@ -22,6 +22,7 @@ from mwclust.variance import cgm_raw, smallest_eigenvalue
 Z_CRIT_95 = 1.959964
 
 RANK_LAMBDA_MIN = 1e-10
+RANK_LAMBDA_OVERFLOW = "rank_lambda unavailable: X'X/n overflows double precision in the units of the data"
 
 
 class SingularDesignError(ValueError):
@@ -89,7 +90,9 @@ def _pow2_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The division is exact, and sums of squares of the scaled columns cannot overflow.
     """
-    e = np.frexp(np.abs(A).max(axis=0))[1]
+    # one reduction per column: numpy's strided axis-0 max is several times slower
+    peak = np.abs(A).max() if A.ndim == 1 else [np.abs(col).max() for col in A.T]
+    e = np.frexp(peak)[1]
     return np.ldexp(A, -e), e
 
 
@@ -156,11 +159,14 @@ def _slope_variance(pair_sum: float, ssd: float) -> float:
 def _gram(X: np.ndarray):
     """(X_s, e, (X_s'X_s)^-1, smallest eigenvalue of X'X/n) with X_s, e = ``_pow2_scaled(X)``.
 
-    The eigenvalue is reported in the units of X; ``_fit`` decides rank.
+    The eigenvalue is reported in the units of X, and is None when X'X/n
+    overflows there; ``_fit`` decides rank, and the sandwich is formed on X_s.
     """
     Xs, e = _pow2_scaled(X)
     S = Xs.T @ Xs
-    rank_lambda = smallest_eigenvalue(np.ldexp(S, np.add.outer(e, e)) / X.shape[0])
+    with np.errstate(over="ignore"):  # an overflow only withholds the eigenvalue
+        raw = np.ldexp(S, np.add.outer(e, e)) / X.shape[0]
+    rank_lambda = smallest_eigenvalue(raw) if np.isfinite(raw).all() else None
     try:
         return Xs, e, np.linalg.inv(S), rank_lambda
     except np.linalg.LinAlgError as exc:
@@ -183,18 +189,22 @@ def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) 
     """Standard error, t statistic and 95% interval of the slope from its variance.
 
     A negative variance can occur in finite samples; it is surfaced, not
-    clipped, and no interval is formed.
+    clipped, and no interval is formed. A ``rank_lambda`` passed as None is
+    named in a warning.
     """
     if not np.isfinite(sigma_sq):
         raise FloatingPointError("slope variance overflows double precision")
     negative = sigma_sq < 0
     sigma = None if negative else float(np.sqrt(sigma_sq))
+    warnings = ["estimated variance is negative; confidence interval suppressed"] if negative else []
+    if "rank_lambda" in health and health["rank_lambda"] is None:
+        warnings.append(RANK_LAMBDA_OVERFLOW)
     return InferenceResult(
         beta_hat=beta, theta_hat=theta, sigma_sq=sigma_sq, sigma_hat=sigma, V_hat=V_hat,
         t_stat=theta / sigma if sigma else None,
         ci_95=None if sigma is None else (theta - Z_CRIT_95 * sigma, theta + Z_CRIT_95 * sigma),
         residuals=u_hat, D_tilde=D_tilde, negative_variance=negative,
-        warnings=["estimated variance is negative; confidence interval suppressed"] if negative else [],
+        warnings=warnings,
         **health,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mwclust.clusters import build_index
-from mwclust.dgp import DgpSpec, MomentOracle, draw, structure
+from mwclust.dgp import DgpSpec, MomentOracle, Streams, draw, structure
 
 _VAR_COEF = math.sqrt(2.0 / math.pi)
 _DK_COEF = (2.0 / math.pi) ** 0.25
@@ -95,8 +95,9 @@ def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
     u_sum = np.zeros(n)
     u_sumsq = np.zeros(n)
     T = np.empty(reps)
+    streams = Streams(spec.seed)
     for r in range(reps):
-        x = draw(spec, r) - oracle.mean
+        x = draw(spec, r, streams) - oracle.mean
         t = dependent_sums(x)
         T[r] = float(x @ t)
         u = x * t * t

@@ -346,6 +346,30 @@ class TestEstimate:
         assert (code, out) == (3, "")
         assert message in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+    def test_large_control_reports_null_rank_lambda(self, tmp_path, capsys, c):
+        # X'X/n overflows in the units of the data: the run goes on, with
+        # rank_lambda null and a warning naming it
+        def estimate(c):
+            p = tmp_path / "large.csv"
+            rows = zip([1, 3, 2, 5, 4], [0.5, 2, 1, 3, 7], [1, 2, 0, 5, 3], range(5))
+            p.write_text("y,d,x,g,h\n" + "".join(f"{y},{d},{x * c!r},{i % 2},{i % 3}\n" for y, d, x, i in rows))
+            code, out, err = run_cli(
+                ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--controls", "x", "--cluster", "g,h"],
+                capsys,
+            )
+            assert (code, err) == (0, "")
+            return check_report(out)
+
+        base, doc = estimate(1.0), estimate(c)
+        assert doc["results"]["diagnostics"]["rank_lambda"] is None
+        assert [w for w in doc["warnings"] if "rank_lambda" in w] == [
+            "rank_lambda unavailable: X'X/n overflows double precision in the units of the data"
+        ]
+        for key in ("theta_hat", "sigma_sq"):
+            assert doc["results"][key] == pytest.approx(base["results"][key], rel=1e-12)
+
     @pytest.mark.parametrize("c", [1e12, 1e-6, 1e-8])
     def test_rescaled_regressor_keeps_the_estimate(self, tmp_path, capsys, c):
         # the rank decision is unit-free: theta_hat scales as 1/c, t is unchanged

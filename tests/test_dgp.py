@@ -12,8 +12,7 @@ from mwclust.dgp import (
     DISTRIBUTIONS,
     VARIANTS,
     DgpSpec,
-    _draw,
-    _stream,
+    Streams,
     draw,
     structure,
     true_bias_term,
@@ -66,12 +65,31 @@ def reference_schedule(base: float, count: int, hetero: bool) -> np.ndarray:
     return np.full(count, base)
 
 
+def fresh_stream(seed: int, rep: int, comp: int) -> np.random.Generator:
+    """A newly built Philox generator for stream (rep, comp) of ``seed``."""
+    counter = np.array([0, 0, rep, comp], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+
+
+def reference_component(rng: np.random.Generator, dist: str, size: int) -> np.ndarray:
+    """Unit-variance draws of one component family."""
+    if dist == "gaussian":
+        return rng.standard_normal(size)
+    if dist == "centered-exponential":
+        return rng.standard_exponential(size) - 1.0
+    return rng.integers(0, 2, size=size) * 2.0 - 1.0
+
+
 def reference_draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
-    """The draw that rebuilt its labels, scale schedules, block and mean on every call."""
+    """The draw that rebuilt its labels, scale schedules, block, mean and generators on every call."""
     M, cell = spec.M, spec.cell_size
+
+    def component(comp, dist, size):
+        return reference_component(fresh_stream(spec.seed, rep, comp), dist, size)
+
     if spec.variant == "nonzero-mean-triple":
-        a = _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
-        c = _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
+        a = component(COMP_ALPHA, spec.dist_alpha, M)
+        c = component(COMP_GAMMA, spec.dist_gamma, M)
         block = np.repeat(np.arange(M), 3)
         pattern_a = np.tile(np.array([1.0, 1.0, 0.0]), M)
         pattern_c = np.tile(np.array([0.0, 1.0, 1.0]), M)
@@ -83,14 +101,14 @@ def reference_draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
     h = np.tile(np.repeat(np.arange(M), cell), M)
     se = reference_schedule(spec.sigma_eps, n, spec.hetero_eps)
     if spec.variant == "iid-conservative":
-        return se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+        return se * component(COMP_EPS, spec.dist_eps, n)
     sa = reference_schedule(spec.sigma_alpha, M, spec.hetero_alpha)
     sg = reference_schedule(spec.sigma_gamma, M, spec.hetero_gamma)
-    alpha = sa * _draw(_stream(spec.seed, rep, COMP_ALPHA), spec.dist_alpha, M)
-    gamma = sg * _draw(_stream(spec.seed, rep, COMP_GAMMA), spec.dist_gamma, M)
+    alpha = sa * component(COMP_ALPHA, spec.dist_alpha, M)
+    gamma = sg * component(COMP_GAMMA, spec.dist_gamma, M)
     if spec.variant == "interactive-chaos":
         return alpha[g] * gamma[h]
-    eps = se * _draw(_stream(spec.seed, rep, COMP_EPS), spec.dist_eps, n)
+    eps = se * component(COMP_EPS, spec.dist_eps, n)
     return alpha[g] + gamma[h] + eps
 
 
@@ -349,3 +367,44 @@ class TestDraw:
         )
         x = draw(spec, 0)
         assert set(np.unique(np.abs(x)).tolist()) == {2.0}
+
+
+class TestStreams:
+    def test_interleaved_streams_match_fresh_generators(self):
+        # one helper, streams requested in a random order, odd sizes and every
+        # family: an odd Rademacher draw leaves a cached 32-bit half behind,
+        # which the reset must clear
+        order = np.random.default_rng(3)
+        for seed in (0, 11, 2**40 + 3):
+            streams = Streams(seed)
+            for _ in range(300):
+                rep, comp = int(order.integers(0, 2**33)), int(order.integers(0, 7))
+                dist = DISTRIBUTIONS[int(order.integers(0, len(DISTRIBUTIONS)))]
+                size = 2 * int(order.integers(0, 20)) + 1
+                got = reference_component(streams(rep, comp), dist, size)
+                ref = reference_component(fresh_stream(seed, rep, comp), dist, size)
+                assert got.tobytes() == ref.tobytes(), (seed, rep, comp, dist, size)
+
+    def test_stream_continues_like_a_fresh_generator(self):
+        # several draws from one stream, then a reset to the same stream
+        streams = Streams(5)
+        for _ in range(2):
+            rng, ref = streams(9, 2), fresh_stream(5, 9, 2)
+            for size in (3, 1, 8):
+                assert rng.integers(0, 2, size=size).tobytes() == ref.integers(0, 2, size=size).tobytes()
+                assert rng.standard_normal(size).tobytes() == ref.standard_normal(size).tobytes()
+
+    def test_draw_through_one_helper_matches_reference(self):
+        for spec in layout_specs():
+            for seed in (0, 7):
+                seeded = replace(spec, seed=seed)
+                streams = Streams(seed)
+                for rep in (5, 0, 3, 0, 1):
+                    got = draw(seeded, rep, streams)
+                    assert got.tobytes() == reference_draw(seeded, rep).tobytes(), (spec, seed, rep)
+
+    def test_helper_of_another_seed_refused(self):
+        spec = DgpSpec(variant="additive-re", M=3, seed=4)
+        with pytest.raises(ValueError, match="seed 5"):
+            draw(spec, 0, Streams(5))
+        np.testing.assert_array_equal(draw(spec, 0, Streams(4)), draw(spec, 0))

@@ -6,8 +6,12 @@ import pytest
 from scipy import stats
 
 from mwclust.cli import main
-from mwclust.dgp import DgpSpec, draw, structure
+from mwclust.dgp import DgpSpec, Streams, draw, structure
 from mwclust.harness import (
+    COMP_D_ALPHA,
+    COMP_D_GAMMA,
+    COMP_D_NOISE,
+    D_CLUSTER_SHARE,
     INTERCEPT_TRUE,
     THETA_TRUE,
     McReport,
@@ -16,6 +20,13 @@ from mwclust.harness import (
     run_consistency,
     run_coverage,
 )
+from mwclust.stein import wasserstein_bound
+
+
+def fresh_normal(seed: int, rep: int, comp: int, size: int) -> np.ndarray:
+    """Standard normals from a newly built Philox generator for stream (rep, comp)."""
+    counter = np.array([0, 0, rep, comp], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter)).standard_normal(size)
 
 
 class TestKsStatistic:
@@ -181,3 +192,57 @@ class TestRegressionReplication:
         report = run_coverage(spec, target="regression-theta", reps=20, seed=1)
         assert 0.0 <= report.coverage_95 <= 1.0
         assert report.ks_pivot is not None
+
+    def test_regressor_streams_match_fresh_generators(self):
+        # one helper across replications in a random order; the odd-length
+        # Rademacher outcome draw precedes the next replication's regressor streams
+        spec = DgpSpec(variant="additive-re", M=3, dist_eps="rademacher", seed=12)
+        scheme, _ = structure(spec)
+        g, h = scheme.labels
+        streams = Streams(12)
+        for rep in (4, 0, 9, 4, 2):
+            data = regression_replication(spec, scheme, rep, streams)
+            da = fresh_normal(12, rep, COMP_D_ALPHA, 3)
+            dg = fresh_normal(12, rep, COMP_D_GAMMA, 3)
+            D = D_CLUSTER_SHARE * (da[g] + dg[h]) + fresh_normal(12, rep, COMP_D_NOISE, scheme.n)
+            assert data.D.tobytes() == D.tobytes(), rep
+            Y = THETA_TRUE * D + INTERCEPT_TRUE + draw(spec, rep)
+            assert data.Y.tobytes() == Y.tobytes(), rep
+
+    def test_helper_of_another_seed_refused(self):
+        spec = DgpSpec(variant="additive-re", M=3, seed=1)
+        scheme, _ = structure(spec)
+        with pytest.raises(ValueError, match="seed 2"):
+            regression_replication(spec, scheme, 0, Streams(2))
+
+
+class TestOneGeneratorPerStudy:
+    """A study builds a fixed number of stream helpers, however many replications it runs."""
+
+    STUDIES = {
+        "coverage-mean": lambda reps: run_coverage(DgpSpec(variant="additive-re", M=3), reps=reps, seed=1),
+        "coverage-theta": lambda reps: run_coverage(
+            DgpSpec(variant="additive-re", M=3), target="regression-theta", reps=reps, seed=1
+        ),
+        "consistency": lambda reps: run_consistency(DgpSpec(variant="additive-re"), [3, 4], reps=reps, seed=1),
+        "monte-carlo-bound": lambda reps: wasserstein_bound(
+            DgpSpec(variant="additive-re", M=3, seed=1), method="monte-carlo", reps=reps
+        ),
+    }
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_helpers_built_do_not_grow_with_reps(self, study, monkeypatch):
+        built = []
+        init = Streams.__init__
+
+        def counting_init(self, seed):
+            built.append(seed)
+            init(self, seed)
+
+        monkeypatch.setattr(Streams, "__init__", counting_init)
+        counts = []
+        for reps in (10, 30):
+            built.clear()
+            self.STUDIES[study](reps)
+            counts.append(len(built))
+        assert 1 <= counts[0] == counts[1], counts

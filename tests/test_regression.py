@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from mwclust.clusters import ClusterScheme, WeightedSample, build_index
 from mwclust.regression import (
+    RANK_LAMBDA_OVERFLOW,
     RegressionData,
     SingularDesignError,
     Z_CRIT_95,
     _fit,
+    _pow2_scaled,
     _slope_variance,
     fixed_design_inference,
     stochastic_design_inference,
@@ -297,12 +299,55 @@ class TestGram:
             ):
                 fit(c)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e154, 1e156, 1e200, 1e300])
+    def test_large_control_withholds_only_rank_lambda(self, c):
+        # X'X/n overflows in the units of the data, so its eigenvalue is not
+        # reported; the fit and the sandwich, formed on scaled columns, are
+        def fit(c):
+            x = c * np.array([1.0, 2.0, 0.0, 5.0, 3.0])
+            data = make_data(np.array([1.0, 3.0, 2.0, 5.0, 4.0]), np.array([0.5, 2.0, 1.0, 3.0, 7.0]),
+                             np.column_stack([np.ones(5), x]), np.arange(5) % 2, np.arange(5) % 3)
+            index = build_index(data.scheme)
+            return theta_inference(data, index), stochastic_design_inference(data, index)
+
+        base, _ = fit(1.0)
+        assert base.rank_lambda is not None and RANK_LAMBDA_OVERFLOW not in base.warnings
+        for res in fit(c):
+            assert res.rank_lambda is None
+            assert RANK_LAMBDA_OVERFLOW in res.warnings and "rank_lambda" in RANK_LAMBDA_OVERFLOW
+            assert res.theta_hat == pytest.approx(base.theta_hat, rel=1e-13)
+            assert res.sigma_sq == pytest.approx(base.sigma_sq, rel=1e-12)
+
     def test_collinear_columns_raise(self):
         ctrl = np.column_stack([np.ones(8), 2 * np.ones(8)])
         data = make_data(np.arange(8.0), np.arange(8.0) % 3, ctrl, np.arange(8), np.arange(8),
                          names=("d", "(intercept)", "two"))
         with pytest.raises(SingularDesignError, match="rank deficient at column 'two'"):
             theta_inference(data, build_index(data.scheme))
+
+
+class TestPow2Scaled:
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exponents_match_the_axis_reduction(self, seed, n, k):
+        # per-column maxima are exact, so the exponents equal those of the
+        # whole-array axis-0 reduction, zeros, infinities and subnormals included
+        rng = np.random.default_rng(seed)
+        magnitude = rng.choice([0.0, 5e-324, 1e-300, 1.0, 3.5, 1e300, np.inf], size=(n, k))
+        A = rng.normal(size=(n, k)) * magnitude
+        A[rng.random((n, k)) < 0.2] = 0.0
+        As, e = _pow2_scaled(A)
+        np.testing.assert_array_equal(e, np.frexp(np.abs(A).max(axis=0))[1])
+        assert e.dtype == np.frexp(1.0)[1].dtype
+        np.testing.assert_array_equal(As, np.ldexp(A, -e))
+        y = A[:, 0] if k else rng.normal(size=n)
+        ey = _pow2_scaled(y)[1]  # a vector has one exponent
+        assert np.ndim(ey) == 0 and ey == np.frexp(np.abs(y).max(axis=0))[1]
 
 
 class TestThetaInference:
