@@ -382,18 +382,52 @@ def _data_diagnostics(index, res, warnings: list[str]) -> dict | None:
     return report
 
 
+def _integer(value, source: str, least: int, below: int | None = None) -> int:
+    """``value`` if it is an integer of at least ``least`` (and below ``below``), else ConfigError.
+
+    ``source`` names the config key or the option that gave the value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < least or (below and value >= below):
+        bounds = f">= {least}" + (f" and < {below}" if below else "")
+        raise ConfigError(f"{source} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _setting(args, cfg: dict, key: str, default, least: int, below: int | None = None) -> int:
+    """The integer setting ``key``: the ``--key`` option when given, else the config's or the default."""
+    if getattr(args, key) is not None:
+        return _integer(getattr(args, key), f"--{key}", least, below)
+    return _integer(cfg.get(key, default), f"config key {key!r}", least, below)
+
+
+def _sweep(sweep) -> list[int]:
+    """A nonempty list of grid sizes M >= 1."""
+    if not isinstance(sweep, list) or not sweep:
+        raise ConfigError(f"config key 'sweep' must be a nonempty list, got {sweep!r}")
+    return [_integer(M, "config key 'sweep'", 1) for M in sweep]
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, _SIMULATE_KEYS)
     spec = _dgp_from_config(cfg)
     mode = cfg.get("mode", "coverage")
-    reps = int(args.reps if args.reps is not None else cfg.get("reps", 1000))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    if mode not in ("coverage", "consistency"):
+        raise ConfigError(f"config key 'mode': unknown mode {mode!r}; use 'coverage' or 'consistency'")
+    # a sample standard deviation needs two replications
+    reps = _setting(args, cfg, "reps", 1000, 1 if mode == "coverage" else 2)
+    seed = _setting(args, cfg, "seed", 0, 0, 2**64)
     out = args.out or cfg.get("out")
     fmt = args.format or cfg.get("format", "json")
     warnings: list[str] = []
     scheme, oracle = structure(spec)
     if mode == "coverage":
         target = cfg.get("target", "mean")
+        if target not in ("mean", "regression-theta"):
+            raise ConfigError(
+                f"config key 'target': unknown target {target!r}; use 'mean' or 'regression-theta'"
+            )
+        if target == "regression-theta" and scheme.n < 2:
+            raise ConfigError("config key 'dgp': a slope needs a design of at least 2 observations")
         report = run_coverage(spec, target=target, reps=reps, seed=seed)
         results = report.to_dict()
         if cfg.get("write_data"):
@@ -402,16 +436,13 @@ def cmd_simulate(args) -> int:
             results["first_replication"] = _write_replication(
                 cfg["write_data"], spec, seed
             )
-    elif mode == "consistency":
-        sweep = cfg.get("sweep")
-        if not sweep:
-            raise ConfigError("consistency mode requires a nonempty 'sweep' list")
-        report = run_consistency(
-            spec, sweep, reps=reps, seed=seed, demean=bool(cfg.get("demean", False))
-        )
-        results = report.to_dict()
     else:
-        raise ConfigError(f"unknown mode {mode!r}")
+        sweep = _sweep(cfg.get("sweep"))
+        try:
+            report = run_consistency(spec, sweep, reps=reps, seed=seed, demean=bool(cfg.get("demean", False)))
+        except ValueError as exc:  # a design of zero variance at some M
+            raise ConfigError(f"config keys 'dgp' and 'sweep': {exc}") from None
+        results = report.to_dict()
     results["true_Q"] = oracle.true_Q
     results["bias_term"] = true_bias_term(oracle)
     results["n"] = scheme.n
@@ -452,14 +483,19 @@ def cmd_bound(args) -> int:
     cfg = _load_config(args.config, _BOUND_KEYS)
     spec = _dgp_from_config(cfg)
     method = cfg.get("method", "monte-carlo")
-    reps = int(args.reps if args.reps is not None else cfg.get("reps", 10_000))
-    sweep = cfg.get("sweep") or [spec.M]
+    if method not in ("analytic", "monte-carlo"):
+        raise ConfigError(f"config key 'method': unknown method {method!r}; use 'analytic' or 'monte-carlo'")
+    # the Monte Carlo variance term is a sample variance
+    reps = _setting(args, cfg, "reps", 10_000, 2 if method == "monte-carlo" else 1)
+    sweep = _sweep(cfg.get("sweep") or [spec.M])
     results = {"bounds": []}
     for M in sweep:
-        spec_m = replace(spec, M=int(M))
-        rep = wasserstein_bound(spec_m, method=method, reps=reps)
+        try:
+            rep = wasserstein_bound(replace(spec, M=M), method=method, reps=reps)
+        except ValueError as exc:  # a design of zero variance, or not Gaussian for 'analytic'
+            raise ConfigError(f"config keys 'dgp' and 'method' at M={M}: {exc}") from None
         entry = rep.to_dict()
-        entry["M"] = int(M)
+        entry["M"] = M
         results["bounds"].append(entry)
     echo = dict(cfg)
     echo.update({"method": method, "reps": reps, "sweep": list(sweep)})

@@ -199,6 +199,11 @@ class NeighborhoodIndex:
             for lab, m in self._groups
         ]
 
+    def pair_sum(self, s) -> float:
+        """Sum of s_i s_j over dependent ordered pairs: the one-column ``cgm_raw``, bit for bit."""
+        s_g, s_h, s_cell = self.cluster_sums(s)
+        return float(s_g @ s_g + s_h @ s_h - s_cell @ s_cell)
+
     def neighbor_sums(self, x) -> np.ndarray:
         """Row i holds the sum of ``x`` over i's neighbourhood, i included."""
         s_g, s_h, s_cell = self.cluster_sums(x)

@@ -9,6 +9,8 @@ draws every stream from one ``Streams`` generator whose counter it resets.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,12 +60,19 @@ class DgpSpec:
         for dist in (self.dist_alpha, self.dist_gamma, self.dist_eps):
             if dist not in DISTRIBUTIONS:
                 raise ValueError(f"unknown distribution {dist!r}")
+        for name, value in (("M", self.M), ("cell_size", self.cell_size), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.M < 1 or self.cell_size < 1:
             raise ValueError("grid must be nonempty")
+        if not 0 <= self.seed < 2**64:  # a Philox key
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.variant == "interactive-chaos" and self.cell_size != 1:
             raise ValueError("interactive-chaos requires cell_size = 1")
-        if min(self.sigma_alpha, self.sigma_gamma, self.sigma_eps) < 0:
-            raise ValueError("scales must be nonnegative")
+        for name, value in (("sigma_alpha", self.sigma_alpha), ("sigma_gamma", self.sigma_gamma),
+                            ("sigma_eps", self.sigma_eps)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass

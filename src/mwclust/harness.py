@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, WeightedSample, build_index
+from mwclust.clusters import ClusterScheme, NeighborhoodIndex, build_index
 from mwclust.dgp import DgpSpec, Streams, _streams_for, draw, structure, true_bias_term
-from mwclust.regression import RegressionData, Z_CRIT_95, fixed_design_inference
-from mwclust.variance import cgm_demeaned, cgm_raw
+from mwclust.regression import RegressionData, Z_CRIT_95, intercept_only_slope
 
 # component ids 0..2 are used inside the dgp module for the outcome draws
 COMP_D_ALPHA, COMP_D_GAMMA, COMP_D_NOISE = 4, 5, 6
@@ -92,6 +91,12 @@ def regression_replication(
     )
 
 
+def _demeaned_pair_sum(W: np.ndarray, index: NeighborhoodIndex, ones: np.ndarray):
+    """(mean, pair sum of W - mean): ``cgm_demeaned`` on unit weights, bit for bit, without its objects."""
+    mean = (ones @ W[:, None] / W.size)[0]  # the gemv of ``weighted_mean``
+    return mean, index.pair_sum(W - mean)
+
+
 def run_coverage(
     spec: DgpSpec, target: str = "mean", reps: int = 2000, seed: int = 0
 ) -> McReport:
@@ -115,37 +120,31 @@ def run_coverage(
         report.warnings.append("degenerate design: zero variance, coverage undefined")
         return report
     sigma_true = math.sqrt(oracle.true_Q)
-    mu = oracle.mean
-    mu_bar = float(mu.mean())
+    mu_sum = oracle.mean.sum()
+    mu_bar = float(oracle.mean.mean())
     covered = 0
-    pivots = np.empty(reps)
-    ratios = np.empty(reps)
+    pivots = np.full(reps, np.nan)
+    ratios = np.full(reps, np.nan)
     ones = np.ones(n)
     for r in range(reps):
         if target == "mean":
             W = draw(spec, r, streams)
-            pivots[r] = (W.sum() - mu.sum()) / sigma_true
-            sample = WeightedSample(W=W[:, None], omega=ones)
-            mean, est = cgm_demeaned(sample, index)
-            q = float(est.Q_hat[0, 0])
+            pivots[r] = (W.sum() - mu_sum) / sigma_true
+            mean, q = _demeaned_pair_sum(W, index, ones)
             ratios[r] = q / oracle.true_Q
             if q < 0:
                 report.rejection_flags += 1
-                continue
-            half = Z_CRIT_95 * math.sqrt(q) / n
-            if abs(float(mean[0]) - mu_bar) <= half:
+            elif abs(mean - mu_bar) <= Z_CRIT_95 * math.sqrt(q) / n:
                 covered += 1
         else:
-            res = fixed_design_inference(regression_replication(spec, scheme, r, streams), index)
-            if res.sigma_sq <= 0:
+            data = regression_replication(spec, scheme, r, streams)
+            theta, sigma_sq = intercept_only_slope(data.D, data.Y, index)
+            if sigma_sq <= 0:
                 report.rejection_flags += 1
-                pivots[r] = np.nan
-                ratios[r] = np.nan
                 continue
-            pivots[r] = (res.theta_hat - THETA_TRUE) / res.sigma_hat
-            ratios[r] = np.nan
-            lo, hi = res.ci_95
-            if lo <= THETA_TRUE <= hi:
+            sigma = math.sqrt(sigma_sq)
+            pivots[r] = (theta - THETA_TRUE) / sigma
+            if theta - Z_CRIT_95 * sigma <= THETA_TRUE <= theta + Z_CRIT_95 * sigma:
                 covered += 1
     report.coverage_95 = covered / reps
     good = pivots[np.isfinite(pivots)]
@@ -178,12 +177,8 @@ def run_consistency(
         ratios = np.empty(reps)
         for r in range(reps):
             W = draw(spec_m, r, streams)
-            sample = WeightedSample(W=W[:, None], omega=ones)
-            if demean:
-                _, est = cgm_demeaned(sample, index)
-            else:
-                est = cgm_raw(sample, index)
-            ratios[r] = float(est.Q_hat[0, 0]) / oracle.true_Q
+            q = _demeaned_pair_sum(W, index, ones)[1] if demean else index.pair_sum(W)
+            ratios[r] = q / oracle.true_Q
         report.trace.append(
             {
                 "M": int(M),

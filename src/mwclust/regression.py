@@ -22,6 +22,7 @@ from mwclust.variance import cgm_raw, smallest_eigenvalue
 Z_CRIT_95 = 1.959964
 
 RANK_LAMBDA_MIN = 1e-10
+NO_RESIDUAL_VARIATION = "regressor of interest has no residual variation after partialling out controls"
 RANK_LAMBDA_OVERFLOW = "rank_lambda unavailable: X'X/n overflows double precision in the units of the data"
 
 
@@ -116,9 +117,7 @@ def _fit(data: RegressionData):
     if bad.size or n < k:
         col = int(bad[0]) if bad.size else n
         if col == k - 1:
-            raise SingularDesignError(
-                "regressor of interest has no residual variation after partialling out controls"
-            )
+            raise SingularDesignError(NO_RESIDUAL_VARIATION)
         names = data.column_names
         name = names[col + 1] if col + 1 < len(names) else f"column {col + 1}"
         raise SingularDesignError(f"design matrix is rank deficient at column {name!r}")
@@ -215,6 +214,24 @@ def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> In
     pair_sum = float(_pair_sum((u_hat * D_tilde)[:, None], index)[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)
     return _finish_scalar(beta, float(beta[0]), sigma_sq, u_hat, D_tilde, score_pair_sum=pair_sum)
+
+
+def intercept_only_slope(D: np.ndarray, Y: np.ndarray, index: NeighborhoodIndex) -> tuple[float, float]:
+    """(theta_hat, sigma_sq) of ``fixed_design_inference`` on D and an intercept, to rounding.
+
+    Partialling out the intercept is demeaning, to Dt and Yt; ``_fit``'s rank
+    rule reads Dt'Dt <= ``RANK_LAMBDA_MIN`` D'D.
+    """
+    Dt = D - D.mean()
+    Yt = Y - Y.mean()
+    ssd = float(Dt @ Dt)
+    if not ssd > RANK_LAMBDA_MIN * float(D @ D):
+        raise SingularDesignError(NO_RESIDUAL_VARIATION)
+    theta = float(Dt @ Yt) / ssd
+    sigma_sq = _slope_variance(index.pair_sum((Yt - theta * Dt) * Dt), ssd)
+    if not np.isfinite(sigma_sq):
+        raise FloatingPointError("slope variance overflows double precision")
+    return theta, sigma_sq
 
 
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:

@@ -826,6 +826,167 @@ class TestBound:
         assert dws[0] > dws[1] > dws[2]
 
 
+def write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def assert_config_error(code, out, err, *names):
+    """Exit 2, nothing on stdout, and a message naming each of ``names``."""
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for name in names:
+        assert name in err, err
+
+
+COVERAGE = {"dgp": {"variant": "additive-re", "M": 3}, "mode": "coverage", "reps": 5}
+CONSISTENCY = {"dgp": {"variant": "additive-re"}, "mode": "consistency", "sweep": [2, 3], "reps": 5}
+MC_BOUND = {"dgp": {"variant": "additive-re", "M": 3}, "method": "monte-carlo", "reps": 5}
+
+
+class TestStudySettings:
+    """Bad study settings exit 2 with the key or option named, never with a traceback or NaN."""
+
+    @pytest.mark.parametrize(
+        "command,cfg,reps",
+        [("simulate", COVERAGE, r) for r in (0, -3, "x", 2.5, True, None)]
+        + [("simulate", CONSISTENCY, r) for r in (0, 1, -3, "x")]
+        + [("bound", MC_BOUND, r) for r in (0, 1, -3, "x")],
+    )
+    def test_bad_reps_in_config(self, tmp_path, capsys, command, cfg, reps):
+        path = write_config(tmp_path, {**cfg, "reps": reps})
+        assert_config_error(*run_cli([command, "--config", path], capsys), "'reps'")
+
+    @pytest.mark.parametrize("command,cfg,reps", [("simulate", COVERAGE, "0"), ("simulate", CONSISTENCY, "1"),
+                                                  ("bound", MC_BOUND, "1"), ("bound", MC_BOUND, "-2")])
+    def test_bad_reps_option(self, tmp_path, capsys, command, cfg, reps):
+        path = write_config(tmp_path, cfg)
+        assert_config_error(*run_cli([command, "--config", path, "--reps", reps], capsys), "--reps")
+
+    @pytest.mark.parametrize("command,cfg", [("simulate", COVERAGE), ("simulate", CONSISTENCY), ("bound", MC_BOUND)])
+    def test_fewest_reps_give_strict_json(self, tmp_path, capsys, command, cfg):
+        fewest = 1 if cfg is COVERAGE else 2
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, {**cfg, "reps": fewest})], capsys)
+        assert code == 0, err
+        json.loads(out, parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("key,value", [("target", "median"), ("mode", "bootstrap"), ("seed", -1), ("seed", "x")])
+    def test_bad_study_key(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {**COVERAGE, key: value})
+        assert_config_error(*run_cli(["simulate", "--config", path], capsys), f"'{key}'", repr(value))
+
+    @pytest.mark.parametrize("sweep", [[], [0], ["x"], [2.5], 3])
+    def test_bad_sweep(self, tmp_path, capsys, sweep):
+        path = write_config(tmp_path, {**CONSISTENCY, "sweep": sweep})
+        assert_config_error(*run_cli(["simulate", "--config", path], capsys), "error: config key 'sweep'")
+        if sweep:  # an empty sweep means the design's own M in a bound
+            path = write_config(tmp_path, {**MC_BOUND, "sweep": sweep})
+            assert_config_error(*run_cli(["bound", "--config", path], capsys), "error: config key 'sweep'")
+
+    def test_zero_variance_sweep(self, tmp_path, capsys):
+        dgp = {"variant": "interactive-chaos", "sigma_alpha": 0.0}
+        path = write_config(tmp_path, {**CONSISTENCY, "dgp": dgp})
+        assert_config_error(*run_cli(["simulate", "--config", path], capsys), "'dgp'", "'sweep'", "M=2")
+
+    def test_one_observation_slope(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**COVERAGE, "dgp": {"variant": "additive-re", "M": 1}, "target": "regression-theta"})
+        assert_config_error(*run_cli(["simulate", "--config", path], capsys), "'dgp'")
+
+    @pytest.mark.parametrize(
+        "cfg,names",
+        [
+            ({"dgp": json.loads((ROOT / "configs" / "diagnose_chaos.json").read_text())["dgp"], "method": "analytic"},
+             ["'method'", "Gaussian"]),
+            ({**MC_BOUND, "method": "exact"}, ["'method'", "'exact'"]),
+            ({"dgp": {"variant": "additive-re", "sigma_alpha": 0, "sigma_gamma": 0, "sigma_eps": 0}, "method": "analytic"},
+             ["'dgp'", "zero variance"]),
+            ({**MC_BOUND, "dgp": {"variant": "iid-conservative", "sigma_eps": 0}}, ["'dgp'", "zero variance"]),
+        ],
+    )
+    def test_bound_errors(self, tmp_path, capsys, cfg, names):
+        assert_config_error(*run_cli(["bound", "--config", write_config(tmp_path, cfg)], capsys), *names)
+
+    @pytest.mark.parametrize("key,value", [("M", 2.5), ("M", True), ("cell_size", "2"), ("seed", -1),
+                                           ("sigma_eps", float("nan")), ("sigma_eps", float("inf"))])
+    def test_bad_dgp_value(self, tmp_path, capsys, key, value):
+        for command, cfg in (("simulate", COVERAGE), ("bound", MC_BOUND)):
+            path = write_config(tmp_path, {**cfg, "dgp": {**cfg["dgp"], key: value}})
+            assert_config_error(*run_cli([command, "--config", path], capsys), "invalid dgp spec", key)
+
+
+def optional(strategy):
+    """A value drawn from ``strategy``, or None for a key left out."""
+    return st.none() | strategy
+
+
+# valid study settings, of which at most one is then replaced by a bad value
+STUDY_VALUES = dict(
+    mode=optional(st.sampled_from(["coverage", "consistency"])),
+    target=optional(st.sampled_from(["mean", "regression-theta"])),
+    reps=st.integers(1, 5),
+    method=optional(st.sampled_from(["analytic", "monte-carlo"])),
+    sweep=optional(st.sampled_from([[1, 2], [3], [2, 1, 3], []])),
+    dgp=st.fixed_dictionaries(
+        {"variant": st.sampled_from(["additive-re", "iid-conservative", "interactive-chaos", "nonzero-mean-triple"])},
+        optional={
+            "M": st.integers(1, 3),
+            "cell_size": st.integers(1, 2),
+            **{key: st.sampled_from(["gaussian", "centered-exponential", "rademacher"])
+               for key in ("dist_alpha", "dist_gamma", "dist_eps")},
+            **{key: st.sampled_from([0.0, 0.5, 1, 2.0]) for key in ("sigma_alpha", "sigma_gamma", "sigma_eps")},
+            **{key: st.booleans() for key in ("hetero_alpha", "hetero_gamma", "hetero_eps", "triple_one_way")},
+            "seed": st.integers(0, 2**64 - 1),
+        },
+    ),
+)
+BAD_VALUES = optional(st.sampled_from([
+    ("reps", 0), ("reps", -3), ("reps", "x"), ("reps", 2.5), ("reps", True),
+    ("mode", "bootstrap"), ("mode", 1), ("target", "median"), ("target", None), ("method", "exact"),
+    ("sweep", [0]), ("sweep", ["x"]), ("sweep", [1.5]), ("sweep", 2), ("sweep", "12"),
+    ("dgp.variant", "x"), ("dgp.M", 0), ("dgp.M", 2.5), ("dgp.M", "3"), ("dgp.M", True), ("dgp.cell_size", 1.5),
+    ("dgp.dist_alpha", "cauchy"), ("dgp.sigma_alpha", -1.0), ("dgp.sigma_alpha", float("nan")),
+    ("dgp.sigma_gamma", float("inf")), ("dgp.sigma_eps", None), ("dgp.sigma_eps", "1"),
+    ("dgp.seed", -1), ("dgp.seed", 2**64), ("dgp.seed", 2.5), ("dgp.hetero_eps", "no"),
+]))
+
+
+class TestStudyFuzz:
+    """Random ``simulate`` and ``bound`` configs exit 0 with a strict JSON report, or exit 2."""
+
+    @staticmethod
+    def check(tmp_path, capsys, command, cfg, bad, reps_option):
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        if bad is not None:
+            key, value = bad
+            (cfg["dgp"] if key.startswith("dgp.") else cfg)[key.removeprefix("dgp.")] = value
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+        if reps_option is not None:
+            argv += ["--reps", str(reps_option)]
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 2), err
+        if code == 0:
+            check_report(out)
+            json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+        else:
+            assert out == "" and err.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**{k: STUDY_VALUES[k] for k in ("mode", "target", "reps", "sweep", "dgp")},
+           seed=optional(st.sampled_from([0, 3, -1, "x"])), bad=BAD_VALUES,
+           reps_option=optional(st.sampled_from([0, 1, 2, 4])))
+    def test_simulate(self, tmp_path, capsys, mode, target, reps, sweep, dgp, seed, bad, reps_option):
+        cfg = {"dgp": dgp, "mode": mode, "target": target, "reps": reps, "sweep": sweep, "seed": seed}
+        self.check(tmp_path, capsys, "simulate", cfg, bad, reps_option)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**{k: STUDY_VALUES[k] for k in ("method", "reps", "sweep", "dgp")}, bad=BAD_VALUES,
+           reps_option=optional(st.sampled_from([0, 1, 2, 4])))
+    def test_bound(self, tmp_path, capsys, method, reps, sweep, dgp, bad, reps_option):
+        cfg = {"dgp": dgp, "method": method, "reps": reps, "sweep": sweep}
+        self.check(tmp_path, capsys, "bound", cfg, bad, reps_option)
+
+
 class TestDiagnose:
     def test_oracle_mode_chaos_ratio(self, capsys):
         code, out, _ = run_cli(

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from mwclust import harness
 from mwclust.cli import main
+from mwclust.clusters import NeighborhoodIndex, WeightedSample, build_index
 from mwclust.dgp import DgpSpec, Streams, draw, structure
 from mwclust.harness import (
     COMP_D_ALPHA,
@@ -20,7 +23,9 @@ from mwclust.harness import (
     run_consistency,
     run_coverage,
 )
+from mwclust.regression import SingularDesignError, fixed_design_inference, intercept_only_slope
 from mwclust.stein import wasserstein_bound
+from mwclust.variance import cgm_demeaned, cgm_raw
 
 
 def fresh_normal(seed: int, rep: int, comp: int, size: int) -> np.ndarray:
@@ -246,3 +251,166 @@ class TestOneGeneratorPerStudy:
             self.STUDIES[study](reps)
             counts.append(len(built))
         assert 1 <= counts[0] == counts[1], counts
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_no_weighted_sample_per_replication(self, study, monkeypatch):
+        built = []
+        post_init = WeightedSample.__post_init__
+
+        def counting_post_init(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(WeightedSample, "__post_init__", counting_post_init)
+        counts = []
+        for reps in (10, 30):
+            built.clear()
+            self.STUDIES[study](reps)
+            counts.append(len(built))
+        assert counts[0] == counts[1], counts
+
+
+# designs of the differential tests: every variant, both triple layouts, cells of several observations
+LOOP_DESIGNS = {
+    "additive-re": DgpSpec(variant="additive-re", M=5, hetero_alpha=True, hetero_eps=True, sigma_gamma=1.7),
+    "additive-re-cells": DgpSpec(variant="additive-re", M=3, cell_size=3, dist_eps="centered-exponential"),
+    "iid-conservative": DgpSpec(variant="iid-conservative", M=5, hetero_eps=True),
+    "interactive-chaos": DgpSpec(variant="interactive-chaos", M=5, hetero_alpha=True),
+    "triple-two-way": DgpSpec(variant="nonzero-mean-triple", M=4),
+    "triple-one-way": DgpSpec(variant="nonzero-mean-triple", M=4, triple_one_way=True),
+    "triple-cells": DgpSpec(variant="nonzero-mean-triple", M=2, cell_size=2, dist_alpha="rademacher"),
+}
+
+
+def reference_estimates(spec, reps, demean):
+    """Per replication, (mean or None, q) from the estimator objects: ``cgm_demeaned`` or ``cgm_raw``."""
+    scheme, _ = structure(spec)
+    index = build_index(scheme)
+    out = []
+    for r in range(reps):
+        sample = WeightedSample(W=draw(spec, r)[:, None], omega=np.ones(scheme.n))
+        if demean:
+            mean, est = cgm_demeaned(sample, index)
+            out.append((mean[0], est.Q_hat[0, 0]))
+        else:
+            out.append((None, cgm_raw(sample, index).Q_hat[0, 0]))
+    return out
+
+
+def reference_coverage_mean(spec, reps, seed):
+    """The mean-target study written per replication with the estimator objects."""
+    spec = replace(spec, seed=seed)
+    scheme, oracle = structure(spec)
+    n = scheme.n
+    report = McReport(reps=reps, seed=seed, bias_term=harness.true_bias_term(oracle))
+    sigma_true = math.sqrt(oracle.true_Q)
+    covered, pivots, ratios = 0, np.empty(reps), np.empty(reps)
+    for r, (mean, q) in enumerate(reference_estimates(spec, reps, demean=True)):
+        pivots[r] = (draw(spec, r).sum() - oracle.mean.sum()) / sigma_true
+        ratios[r] = float(q) / oracle.true_Q
+        if q < 0:
+            report.rejection_flags += 1
+        elif abs(float(mean) - float(oracle.mean.mean())) <= harness.Z_CRIT_95 * math.sqrt(q) / n:
+            covered += 1
+    report.coverage_95 = covered / reps
+    report.ks_pivot = ks_statistic(pivots)
+    report.mean_var_ratio = float(ratios.mean())
+    report.var_ratio_sd = float(ratios.std(ddof=1))
+    return report
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every (mean, q) the study loops compute, in order; mean is None for a raw pair sum."""
+    calls = []
+    pair_sum = NeighborhoodIndex.pair_sum
+    demeaned = harness._demeaned_pair_sum
+
+    def recording_pair_sum(self, s):
+        calls.append([None, pair_sum(self, s)])
+        return calls[-1][1]
+
+    def recording_demeaned(W, index, ones):
+        mean, q = demeaned(W, index, ones)
+        calls[-1][0] = mean
+        return mean, q
+
+    monkeypatch.setattr(NeighborhoodIndex, "pair_sum", recording_pair_sum)
+    monkeypatch.setattr(harness, "_demeaned_pair_sum", recording_demeaned)
+    return calls
+
+
+def assert_same_bits(got, ref):
+    assert len(got) == len(ref)
+    for r, ((mean, q), (ref_mean, ref_q)) in enumerate(zip(got, ref)):
+        assert np.float64(q).tobytes() == np.float64(ref_q).tobytes(), r
+        if ref_mean is None:
+            assert mean is None, r
+        else:
+            assert np.float64(mean).tobytes() == np.float64(ref_mean).tobytes(), r
+
+
+class TestLoopsMatchEstimatorObjects:
+    """The study loops give the bits of ``cgm_demeaned`` / ``cgm_raw`` on every replication."""
+
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_coverage_mean(self, design, recorded):
+        spec = LOOP_DESIGNS[design]
+        report = run_coverage(spec, target="mean", reps=60, seed=5)
+        assert_same_bits(recorded, reference_estimates(replace(spec, seed=5), 60, True))
+        assert report.to_dict() == reference_coverage_mean(spec, 60, 5).to_dict()
+
+    @pytest.mark.parametrize("demean", [False, True])
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_consistency(self, design, demean, recorded):
+        spec = LOOP_DESIGNS[design]
+        sweep = [spec.M, spec.M + 1]
+        report = run_consistency(spec, sweep, reps=40, seed=8, demean=demean)
+        ref = []
+        for M, row in zip(sweep, report.trace):
+            spec_m = replace(spec, M=M, seed=8)
+            per_rep = reference_estimates(spec_m, 40, demean)
+            ref += per_rep
+            ratios = np.array([q for _, q in per_rep]) / structure(spec_m)[1].true_Q
+            assert row["mean_var_ratio"] == float(ratios.mean())
+            assert row["var_ratio_sd"] == float(ratios.std(ddof=1))
+        assert_same_bits(recorded, ref)
+
+
+class TestInterceptOnlySlope:
+    """The regression target's closed form against ``fixed_design_inference`` on the same replication."""
+
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_matches_fixed_design_inference(self, design):
+        spec = LOOP_DESIGNS[design]
+        scheme, _ = structure(spec)
+        index = build_index(scheme)
+        for r in range(40):
+            data = regression_replication(spec, scheme, r)
+            res = fixed_design_inference(data, index)
+            theta, sigma_sq = intercept_only_slope(data.D, data.Y, index)
+            assert abs(theta - res.theta_hat) <= 1e-12 * abs(res.theta_hat), r
+            assert abs(sigma_sq - res.sigma_sq) <= 1e-12 * abs(res.sigma_sq), r
+            assert (sigma_sq <= 0) == (res.sigma_sq <= 0), r
+
+    def test_one_way_triple_variances_are_zero_and_flagged(self):
+        spec = LOOP_DESIGNS["triple-one-way"]
+        scheme, _ = structure(spec)
+        index = build_index(scheme)
+        for r in range(10):
+            data = regression_replication(spec, scheme, r)
+            assert intercept_only_slope(data.D, data.Y, index)[1] == 0.0
+        assert run_coverage(spec, target="regression-theta", reps=10, seed=0).rejection_flags == 10
+
+    @pytest.mark.parametrize("D", [np.full(12, 2.5), np.full(12, 0.0), np.r_[1.0, np.full(11, 1.0 + 1e-12)]])
+    def test_constant_regressor_raises_the_fit_message(self, D):
+        spec = LOOP_DESIGNS["triple-two-way"]
+        scheme, _ = structure(spec)
+        index = build_index(scheme)
+        data = regression_replication(spec, scheme, 0)
+        data = replace(data, D=D)
+        with pytest.raises(SingularDesignError) as fit_error:
+            fixed_design_inference(data, index)
+        with pytest.raises(SingularDesignError) as closed_form_error:
+            intercept_only_slope(data.D, data.Y, index)
+        assert str(closed_form_error.value) == str(fit_error.value)

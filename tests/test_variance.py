@@ -116,6 +116,16 @@ class TestCgmRaw:
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(est.Q_hat - ref).max() <= 1e-10 * scale
 
+    def test_scalar_pair_sum_is_the_one_column_estimate_bit_for_bit(self):
+        # the same bincounts, and a 1-D dot product gives the bits of the (1,C) @ (C,1) one
+        rng = np.random.default_rng(6)
+        for trial in range(400):
+            sample, index, _, _ = random_instance(rng, n_max=300, K_max=1)
+            s = sample.W[:, 0] * 10.0 ** rng.integers(-3, 6)
+            q = index.pair_sum(s)
+            ref = cgm_raw(WeightedSample(W=s[:, None], omega=np.ones(s.size)), index).Q_hat[0, 0]
+            assert type(q) is float and np.float64(q).tobytes() == ref.tobytes(), trial
+
     def test_methods_agree(self):
         rng = np.random.default_rng(4)
         sample, index, _, _ = random_instance(rng, n_max=120)
