@@ -509,6 +509,8 @@ def cmd_diagnose(args) -> int:
         cfg = _load_config(args.config, _DIAGNOSE_KEYS)
         spec = _dgp_from_config(cfg)
         scheme, oracle = structure(spec)
+        if not oracle.true_Q > 0:
+            raise ConfigError("config key 'dgp': design has zero variance; the ratios are undefined")
         index = build_index(scheme)
         report = assumption_ratios(
             index,

@@ -138,10 +138,9 @@ class NeighborhoodIndex:
     Every neighbourhood sum in the package goes through :meth:`cluster_sums`:
     by inclusion-exclusion, a sum over i's neighbourhood is its G-cluster sum
     plus its H-cluster sum minus its intersection-cell sum. The pair-sum
-    variance, the bias term, the Monte Carlo bound and the data-mode
-    diagnostics all use it. Per-cluster member lists, read by
-    :meth:`neighborhood` (the independent pair-enumeration check) and by the
-    oracle-mode diagnostics, are built on first use.
+    variance, the bias term, both bounds and the diagnostics all use it.
+    Per-cluster member lists, read by :meth:`neighborhood` (the independent
+    pair-enumeration check), are built on first use.
 
     Immutable once built; safe to share across concurrent readers.
     """
@@ -191,6 +190,8 @@ class NeighborhoodIndex:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return [np.bincount(lab, weights=x, minlength=m) for lab, m in self._groups]
+        if x.shape[1] == 0:
+            return [np.zeros((m, 0)) for _, m in self._groups]
         if x.shape[1] == 1:  # the same bincount, without the transposing copy and the stack
             return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in self._groups]
         cols = np.ascontiguousarray(x.T)  # one transposing copy, not one strided copy per column
@@ -199,10 +200,11 @@ class NeighborhoodIndex:
             for lab, m in self._groups
         ]
 
-    def pair_sum(self, s) -> float:
-        """Sum of s_i s_j over dependent ordered pairs: the one-column ``cgm_raw``, bit for bit."""
+    def pair_sum(self, s):
+        """Sum of s_i s_j' over dependent ordered pairs: a float for an n-vector, K-by-K for n-by-K."""
         s_g, s_h, s_cell = self.cluster_sums(s)
-        return float(s_g @ s_g + s_h @ s_h - s_cell @ s_cell)
+        total = s_g.T @ s_g + s_h.T @ s_h - s_cell.T @ s_cell
+        return float(total) if np.ndim(s) == 1 else total
 
     def neighbor_sums(self, x) -> np.ndarray:
         """Row i holds the sum of ``x`` over i's neighbourhood, i included."""

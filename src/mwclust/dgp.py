@@ -1,17 +1,18 @@
 """Simulation designs with known ground truth.
 
 Each variant ships an oracle carrying exact means, the exact variance of
-the weighted sum, the true pairwise dependence indicator, and (where the
-additive structure allows) closed-form third moments. Replication streams
-are counter-based so parallel generation is replication-stable; a study
-draws every stream from one ``Streams`` generator whose counter it resets.
+the weighted sum, the true pairwise dependence as a pair of cluster labels,
+and (where the additive structure allows) closed-form third moments.
+Replication streams are counter-based so parallel generation is
+replication-stable; a study draws every stream from one ``Streams``
+generator whose counter it resets.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -83,8 +84,7 @@ class MomentOracle:
     true_Q: float
     scheme: ClusterScheme
     gaussian: bool
-    dependence_kind: str  # "neighborhood" | "self" | "custom"
-    dependent: callable  # vectorized pair predicate (i, j) -> bool
+    dependent: ClusterScheme  # true dependence: i, j dependent iff they share a label on either dimension
     # entry i: closed-form sum of E[X_i X_j X_k] over j, k in i's dependency
     # neighborhood (the triple enumeration collapsed by shared-component
     # counting); additive designs only
@@ -102,12 +102,6 @@ class MomentOracle:
         """Dense n-by-n covariance of the observations, for checks at small n."""
         F, e = self.cov_factor()
         return F @ F.T + np.diag(e)
-
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean matrix of truly dependent pairs."""
-        n = self.scheme.n
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return self.dependent(ii.ravel(), jj.ravel()).reshape(n, n)
 
 
 def _schedule(base: float, count: int, hetero: bool) -> np.ndarray:
@@ -209,17 +203,6 @@ def _layout(spec: DgpSpec) -> _Layout:
     return layout
 
 
-def _shared_cluster_predicate(scheme: ClusterScheme):
-    g, h = scheme.labels
-
-    def dependent(i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        return (g[i] == g[j]) | (h[i] == h[j])
-
-    return dependent
-
-
 def structure(spec: DgpSpec):
     """Scheme and moment oracle for a spec; deterministic, no draws.
 
@@ -249,8 +232,7 @@ def structure(spec: DgpSpec):
             true_Q=true_Q,
             scheme=scheme,
             gaussian=gaussian,
-            dependence_kind="neighborhood",
-            dependent=_shared_cluster_predicate(scheme),
+            dependent=scheme,
             third_inner_sum=m3a[g] * sizes_g[g] ** 2 + m3g[h] * sizes_h[h] ** 2 + m3e,
             # one column per random effect: F = [Z_g diag(sa) | Z_h diag(sg)]
             _factor_builder=lambda: (np.hstack([np.eye(M)[g] * sa, np.eye(M)[h] * sg]), se**2),
@@ -258,16 +240,13 @@ def structure(spec: DgpSpec):
         return scheme, oracle
 
     if spec.variant == "iid-conservative":
-        def dependent(i, j):
-            return np.asarray(i) == np.asarray(j)
-
+        own = np.arange(n)  # every observation its own cluster: self-only dependence
         oracle = MomentOracle(
             mean=lay.mean,
             true_Q=float((se**2).sum()),
             scheme=scheme,
             gaussian=spec.dist_eps == "gaussian",
-            dependence_kind="self",
-            dependent=dependent,
+            dependent=ClusterScheme(dims=scheme.dims, labels=(own, own)),
             third_inner_sum=_M3[spec.dist_eps] * se**3,
             _factor_builder=lambda: (np.empty((n, 0)), se**2),
         )
@@ -280,8 +259,7 @@ def structure(spec: DgpSpec):
         true_Q=float(var_i.sum()),
         scheme=scheme,
         gaussian=False,  # products of normals are not normal
-        dependence_kind="neighborhood",
-        dependent=_shared_cluster_predicate(scheme),
+        dependent=scheme,
         _factor_builder=lambda: (np.empty((n, 0)), var_i),
     )
     return scheme, oracle
@@ -290,22 +268,16 @@ def structure(spec: DgpSpec):
 def _triple_oracle(spec: DgpSpec, scheme: ClusterScheme, lay: _Layout) -> MomentOracle:
     blocks = spec.M
     block, loadings = lay.block, (lay.load_a, lay.load_c)
-
-    def dependent(i, j):
-        # actual dependence: a shared block component, regardless of scheme
-        i = np.asarray(i)
-        j = np.asarray(j)
-        shared = sum(load[i] * load[j] for load in loadings)
-        return (block[i] == block[j]) & (shared > 0)
-
+    # actual dependence is a shared block component, whatever the scheme; the two-way
+    # labels pair the middle member with the first (on G) and the last (on H)
+    two_way = _layout(replace(spec, triple_one_way=False))
     gaussian = {spec.dist_alpha, spec.dist_gamma} == {"gaussian"}
     return MomentOracle(
         mean=lay.mean,
         true_Q=8.0 * blocks,
         scheme=scheme,
         gaussian=gaussian,
-        dependence_kind="custom" if spec.triple_one_way else "neighborhood",
-        dependent=dependent,
+        dependent=ClusterScheme(dims=scheme.dims, labels=(two_way.g, two_way.h)),
         # block covariance [[1,1,0],[1,2,1],[0,1,1]]: one column per block component
         _factor_builder=lambda: (
             np.hstack([np.eye(blocks)[block] * load[:, None] for load in loadings]),

@@ -1,8 +1,9 @@
 """Empirically checkable assumption diagnostics.
 
-Oracle mode (simulation, true dependence known) reports exact regularity
-ratios; data mode replaces the unobservable dependence indicator with the
-shared-cluster indicator, an upper bound, and is flagged as a surrogate.
+Oracle mode (simulation, true dependence known as a label pair) reports
+exact regularity ratios; data mode replaces the unobservable dependence
+indicator with the shared-cluster indicator, an upper bound, and is flagged
+as a surrogate. Both modes sum through ``NeighborhoodIndex``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mwclust.clusters import NeighborhoodIndex, pair_weight_sums
+from mwclust.clusters import ClusterScheme, NeighborhoodIndex, SchemaError, build_index, pair_weight_sums
 
 # Benchmark from the iid case: equal weights and no clustering give 1/n,
 # so a study trusted at n = 30 motivates this default.
@@ -51,15 +52,15 @@ def leverage_L(index: NeighborhoodIndex, weights) -> dict[str, float]:
     return {dim: float(sq.max() / sq.sum()) for dim, sq in per_cluster.items()}
 
 
-def _dependent_abs_sum(index: NeighborhoodIndex, weights, dim_pos: int, dependent) -> float:
-    """Sum of |w_i w_j| over the within-cluster pairs of one dimension that are dependent."""
-    total = 0.0
-    for members in index.members[dim_pos]:
-        w = np.abs(weights[members])
-        ii, jj = np.meshgrid(members, members, indexing="ij")
-        mask = dependent(ii.ravel(), jj.ravel()).reshape(ii.shape)
-        total += float((np.outer(w, w) * mask).sum())
-    return total
+def _dependent_abs_sum(labels, dependent: ClusterScheme, weights) -> float:
+    """Sum of |w_i w_j| over the pairs in one cluster of ``labels`` that are truly dependent.
+
+    Such a pair shares its cluster and a true label, so it shares a label of
+    the pair (cluster, true G) x (cluster, true H). The raw keys reach n^2;
+    ``from_labels`` makes them dense before the index forms its cell keys.
+    """
+    keys = [labels * (lab.max() + 1) + lab for lab in dependent.labels]
+    return build_index(ClusterScheme.from_labels(*keys)).pair_sum(np.abs(weights))
 
 
 def assumption_ratios(
@@ -73,19 +74,23 @@ def assumption_ratios(
 
     ``Q_reference`` is the true smallest variance eigenvalue in oracle mode,
     or the smallest eigenvalue of the estimated variance in data mode.
-    ``dependent`` is a vectorized pair predicate; when omitted, every
-    shared-cluster pair counts as dependent (the data-mode upper bound).
+    ``dependent`` is the true dependence as a two-way ``ClusterScheme``
+    (i and j are dependent iff they share a label on either dimension), such
+    as ``MomentOracle.dependent``; when omitted, every shared-cluster pair
+    counts as dependent (the data-mode upper bound).
     """
     if not Q_reference > 0:
         raise ValueError("Q_reference must be positive")
+    if dependent is not None and dependent.n != index.n:
+        raise SchemaError(f"dependent has n={dependent.n} but index has n={index.n}")
     weights = np.asarray(weights, dtype=float)
     L = leverage_L(index, weights)
     if dependent is None:
         pair_sums = {dim: float(sq.sum()) for dim, sq in pair_weight_sums(index, weights).items()}
     else:
         pair_sums = {
-            dim: _dependent_abs_sum(index, weights, pos, dependent)
-            for pos, dim in enumerate(index.scheme.dims)
+            dim: _dependent_abs_sum(labels, dependent, weights)
+            for dim, labels in zip(index.scheme.dims, index.scheme.labels)
         }
     ratio_23 = {dim: total / Q_reference for dim, total in pair_sums.items()}
     warnings = []

@@ -3,7 +3,8 @@
 The Wasserstein bound is the sum of a third-moment term and a
 pair-sum-variance term; the Kolmogorov conversion is (2/pi)^(1/4) times
 the square root. True moments are required, so everything here is
-simulation-only and works off a moment oracle.
+simulation-only and works off a moment oracle. Both terms sum over the
+pairs of the oracle's true dependence, a label pair, through its index.
 """
 
 from __future__ import annotations
@@ -47,20 +48,6 @@ def kolmogorov_bound(d_W: float) -> float:
     return _DK_COEF * math.sqrt(d_W)
 
 
-def _dependent_sums(oracle: MomentOracle):
-    """Map x (n or n-by-K) to Bx, B the symmetric 0/1 true-dependence matrix, diagonal included.
-
-    Pairs are pruned by the true dependence indicator: for iid designs only
-    the self pair survives, which is the minimal valid dependency neighborhood.
-    """
-    if oracle.dependence_kind == "self":
-        return lambda x: x
-    if oracle.dependence_kind == "custom":
-        B = oracle.adjacency().astype(float)
-        return lambda x: B @ x
-    return build_index(oracle.scheme).neighbor_sums
-
-
 def _analytic(oracle: MomentOracle) -> BoundReport:
     if not oracle.gaussian:
         raise ValueError(
@@ -71,10 +58,10 @@ def _analytic(oracle: MomentOracle) -> BoundReport:
     term_third = 0.0
     if oracle.third_inner_sum is not None:
         term_third = float(np.abs(oracle.third_inner_sum).sum()) / sigma_sq**1.5
-    # Gaussian fourth moments give Var(x'Bx) = 2 tr(BCBC); with C = FF' + diag(e)
-    # and B symmetric 0/1 that trace is |F'BF|^2 + 2 sum_i e_i |(BF)_i|^2 + e'Be
+    # Gaussian fourth moments give Var(x'Bx) = 2 tr(BCBC), B the 0/1 true dependence; with
+    # C = FF' + diag(e) that trace is |F'BF|^2 + 2 sum_i e_i |(BF)_i|^2 + e'Be
     F, e = oracle.cov_factor()
-    B = _dependent_sums(oracle)
+    B = build_index(oracle.dependent).neighbor_sums
     BF = B(F)
     tr_BCBC = float(np.square(F.T @ BF).sum() + 2.0 * (e @ np.square(BF).sum(axis=1)) + e @ B(e))
     term_var = _VAR_COEF * math.sqrt(2.0 * tr_BCBC) / sigma_sq
@@ -90,7 +77,7 @@ def _analytic(oracle: MomentOracle) -> BoundReport:
 
 def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
     n = oracle.scheme.n
-    dependent_sums = _dependent_sums(oracle)
+    dependent_sums = build_index(oracle.dependent).neighbor_sums
     sigma_sq = oracle.true_Q
     u_sum = np.zeros(n)
     u_sumsq = np.zeros(n)

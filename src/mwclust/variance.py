@@ -3,8 +3,8 @@
 Two independent computation paths are kept for cross-checking: direct
 enumeration of neighborhoods, and inclusion-exclusion over the two one-way
 cluster sums minus the intersection-cell sum. The inclusion-exclusion path
-reads the cluster sums from ``NeighborhoodIndex.cluster_sums``, the kernel
-that the bias term and the bounds share; pair enumeration shares none of it.
+is ``NeighborhoodIndex.pair_sum``, the kernel that the bias term, the
+bounds and the diagnostics share; pair enumeration shares none of it.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ def _pair_enum(W, omega, index: NeighborhoodIndex) -> np.ndarray:
 
 
 def _inclusion_exclusion(W, omega, index: NeighborhoodIndex) -> np.ndarray:
-    s_g, s_h, s_cell = index.cluster_sums(omega[:, None] * W)
-    return s_g.T @ s_g + s_h.T @ s_h - s_cell.T @ s_cell
+    return index.pair_sum(omega[:, None] * W)
 
 
 _METHODS = {

@@ -889,6 +889,11 @@ class TestStudySettings:
         path = write_config(tmp_path, {**CONSISTENCY, "dgp": dgp})
         assert_config_error(*run_cli(["simulate", "--config", path], capsys), "'dgp'", "'sweep'", "M=2")
 
+    def test_zero_variance_design_in_oracle_diagnose(self, tmp_path, capsys):
+        cfg = {"dgp": {"variant": "additive-re", "M": 3, "sigma_alpha": 0, "sigma_gamma": 0, "sigma_eps": 0}}
+        path = write_config(tmp_path, cfg)
+        assert_config_error(*run_cli(["diagnose", "--config", path], capsys), "'dgp'", "zero variance")
+
     def test_one_observation_slope(self, tmp_path, capsys):
         path = write_config(tmp_path, {**COVERAGE, "dgp": {"variant": "additive-re", "M": 1}, "target": "regression-theta"})
         assert_config_error(*run_cli(["simulate", "--config", path], capsys), "'dgp'")

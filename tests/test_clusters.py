@@ -130,10 +130,11 @@ class TestNeighborhoodIndex:
 
     @given(
         st.sampled_from(["random", "singletons", "one-cluster", "one-way"]),
+        st.sampled_from([0, 1, 2]),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_neighbor_sums_match_brute_force(self, shape, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_neighbor_sums_match_brute_force(self, shape, K, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
         g, h = {
@@ -143,15 +144,19 @@ class TestNeighborhoodIndex:
             "one-way": (np.zeros(n, dtype=int), np.arange(n)),
         }[shape]
         index = build_index(two_way(g, h))
-        x = rng.normal(size=(n, 2))
+        x = rng.normal(size=(n, K))  # K = 0: the empty covariance factor of the iid and chaos oracles
         brute = np.array([x[(g == g[i]) | (h == h[i])].sum(axis=0) for i in range(n)])
+        counts = (*index.scheme.n_clusters, index.n_cells)
+        assert [s.shape for s in index.cluster_sums(x)] == [(c, K) for c in counts]
+        assert index.pair_sum(x).shape == (K, K)
         np.testing.assert_allclose(index.neighbor_sums(x), brute, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(index.neighbor_sums(x[:, 0]), brute[:, 0], rtol=1e-12, atol=1e-12)
+        v = rng.normal(size=n)
+        brute_v = np.array([v[(g == g[i]) | (h == h[i])].sum() for i in range(n)])
+        np.testing.assert_allclose(index.neighbor_sums(v), brute_v, rtol=1e-12, atol=1e-12)
         # the bias term against its definition as a loop over neighborhoods
         mu = rng.normal(size=n) + 1.0
         oracle = MomentOracle(
-            mean=mu, true_Q=1.0, scheme=index.scheme, gaussian=False,
-            dependence_kind="neighborhood", dependent=None,
+            mean=mu, true_Q=1.0, scheme=index.scheme, gaussian=False, dependent=index.scheme,
         )
         loop = sum(mu[i] * mu[index.neighborhood(i)].sum() for i in range(n))
         assert true_bias_term(oracle) == pytest.approx(loop, rel=1e-12, abs=1e-12)

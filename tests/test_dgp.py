@@ -127,6 +127,12 @@ def reference_labels(spec: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
+def dense_dependence(labels) -> np.ndarray:
+    """The n-by-n boolean matrix of pairs that share a label of ``labels`` on either dimension."""
+    g, h = labels.labels
+    return (g[:, None] == g[None, :]) | (h[:, None] == h[None, :])
+
+
 def reference_triple_dependent(M: int) -> np.ndarray:
     """Triple dependence by position: same block, except the first and last members."""
     block = np.repeat(np.arange(M), 3)
@@ -195,8 +201,9 @@ class TestLayout:
     @pytest.mark.parametrize("one_way", [False, True])
     def test_triple_dependence_is_a_shared_block_component(self, one_way):
         _, oracle = structure(DgpSpec(variant="nonzero-mean-triple", M=3, triple_one_way=one_way))
-        np.testing.assert_array_equal(oracle.adjacency(), reference_triple_dependent(3))
-        np.testing.assert_array_equal(oracle.adjacency(), oracle.cov() != 0)
+        A = dense_dependence(oracle.dependent)
+        np.testing.assert_array_equal(A, reference_triple_dependent(3))
+        np.testing.assert_array_equal(A, oracle.cov() != 0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_shared_arrays_are_read_only(self, variant):
@@ -270,7 +277,7 @@ class TestStructure:
         scheme, oracle = structure(spec)
         C = oracle.cov()
         assert np.abs(C - np.diag(np.diag(C))).max() == 0.0
-        A = oracle.adjacency()
+        A = dense_dependence(oracle.dependent)
         g, h = scheme.labels
         np.testing.assert_array_equal(A, (g[:, None] == g[None, :]) | (h[:, None] == h[None, :]))
 
@@ -280,7 +287,7 @@ class TestStructure:
 
     def test_iid_dependence_is_diagonal(self):
         _, oracle = structure(DgpSpec(variant="iid-conservative", M=3))
-        np.testing.assert_array_equal(oracle.adjacency(), np.eye(9, dtype=bool))
+        np.testing.assert_array_equal(dense_dependence(oracle.dependent), np.eye(9, dtype=bool))
 
     def test_third_inner_sum_matches_triple_enumeration(self):
         spec = DgpSpec(
@@ -338,7 +345,7 @@ class TestTriple:
         # sum over truly dependent pairs of block_cov entries: 8 per block
         spec = DgpSpec(variant="nonzero-mean-triple", M=3)
         _, oracle = structure(spec)
-        A = oracle.adjacency()
+        A = dense_dependence(oracle.dependent)
         assert oracle.true_Q == pytest.approx((oracle.cov() * A).sum())
         assert oracle.true_Q == 24.0
 

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mwclust.clusters import ClusterScheme, build_index
+from mwclust.clusters import ClusterScheme, SchemaError, build_index
+from mwclust.dgp import DgpSpec, structure
 from mwclust.diagnostics import (
     L_WARN_DEFAULT,
     assumption_ratios,
@@ -11,6 +16,25 @@ from mwclust.diagnostics import (
 
 def index_for(g, h):
     return build_index(ClusterScheme.from_labels(g, h))
+
+
+def all_pairs(n):
+    """True dependence of every pair: one label shared by all."""
+    return ClusterScheme.from_labels(np.zeros(n), np.zeros(n))
+
+
+def self_only(n):
+    """True dependence of each observation with itself alone."""
+    return ClusterScheme.from_labels(np.arange(n), np.arange(n))
+
+
+def random_labels(rng, shape, n):
+    return {
+        "random": (rng.integers(0, 4, n), rng.integers(0, 5, n)),
+        "singletons": (np.arange(n), np.arange(n)),
+        "one-cluster": (np.zeros(n, dtype=int), np.zeros(n, dtype=int)),
+        "one-way": (np.zeros(n, dtype=int), np.arange(n)),
+    }[shape]
 
 
 class TestLeverage:
@@ -64,9 +88,7 @@ class TestAssumptionRatios:
         g = np.repeat(np.arange(3), 3)
         h = np.tile(np.arange(3), 3)
         index = index_for(g, h)
-        report = assumption_ratios(
-            index, np.ones(9), 9.0, dependent=lambda i, j: np.ones(np.size(i), bool)
-        )
+        report = assumption_ratios(index, np.ones(9), 9.0, dependent=all_pairs(9))
         assert report.oracle_mode
         assert report.ratio_23_upper["G"] == pytest.approx(3.0)
         assert report.ratio_23_upper["H"] == pytest.approx(3.0)
@@ -79,12 +101,50 @@ class TestAssumptionRatios:
 
     def test_restricted_predicate_prunes_pairs(self):
         index = index_for([0, 0], [0, 1])
-        diag_only = assumption_ratios(
-            index, np.ones(2), 1.0, dependent=lambda i, j: np.asarray(i) == np.asarray(j)
-        )
-        full = assumption_ratios(index, np.ones(2), 1.0, dependent=lambda i, j: np.ones(np.size(i), bool))
+        diag_only = assumption_ratios(index, np.ones(2), 1.0, dependent=self_only(2))
+        full = assumption_ratios(index, np.ones(2), 1.0, dependent=all_pairs(2))
         assert diag_only.ratio_23_upper["G"] == pytest.approx(2.0)
         assert full.ratio_23_upper["G"] == pytest.approx(4.0)
+
+    @given(
+        st.sampled_from(["random", "singletons", "one-cluster", "one-way"]),
+        st.sampled_from(["random", "singletons", "one-cluster", "one-way"]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_oracle_mode_equals_brute_force(self, shape, true_shape, seed):
+        # sum of |w_i w_j| over the within-cluster pairs that share a true label
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 25))
+        g, h = random_labels(rng, shape, n)
+        tg, th = random_labels(rng, true_shape, n)
+        w = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        dependent = ClusterScheme.from_labels(tg, th)
+        report = assumption_ratios(index_for(g, h), w, 2.0, dependent=dependent)
+        truly = (tg[:, None] == tg[None, :]) | (th[:, None] == th[None, :])
+        for dim, lab in (("G", g), ("H", h)):
+            brute = (np.abs(np.outer(w, w)) * ((lab[:, None] == lab[None, :]) & truly)).sum()
+            assert report.ratio_23_upper[dim] == pytest.approx(brute / 2.0, rel=1e-12)
+
+    def test_oracle_mode_rejects_a_dependence_of_another_length(self):
+        with pytest.raises(SchemaError, match="n=3"):
+            assumption_ratios(index_for([0, 1], [0, 1]), np.ones(2), 1.0, dependent=all_pairs(3))
+
+    def test_oracle_mode_allocates_no_n_by_n_array(self):
+        # the one-way triple: one G cluster of n = 3600, whose true dependence is not its scheme's
+        scheme, oracle = structure(DgpSpec(variant="nonzero-mean-triple", M=1200, triple_one_way=True))
+        index = build_index(scheme)
+        n = scheme.n
+        tracemalloc.start()
+        try:
+            report = assumption_ratios(index, np.ones(n), oracle.true_Q, dependent=oracle.dependent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2  # half of one dense float matrix
+        # per block of true variance 8: the G cluster holds its 7 dependent ordered
+        # pairs, the singleton H clusters its 3 self pairs
+        assert report.ratio_23_upper == {"G": 7 / 8, "H": 3 / 8}
 
     def test_leverage_warning_threshold(self):
         index = index_for(np.zeros(5), np.arange(5))

@@ -12,6 +12,12 @@ from mwclust.stein import (
 )
 
 
+def dense_dependence(labels) -> np.ndarray:
+    """The n-by-n 0/1 matrix of pairs that share a label of ``labels`` on either dimension."""
+    g, h = labels.labels
+    return ((g[:, None] == g[None, :]) | (h[:, None] == h[None, :])).astype(float)
+
+
 def spec_id(spec: DgpSpec) -> str:
     """Short test id: the fields that differ from their defaults."""
     default = DgpSpec(variant=spec.variant)
@@ -54,7 +60,7 @@ class TestAnalytic:
         spec = DgpSpec(variant="additive-re", M=3, hetero_alpha=True)
         scheme, oracle = structure(spec)
         rep = wasserstein_bound(spec)
-        B = oracle.adjacency().astype(float)
+        B = dense_dependence(oracle.dependent)
         C = oracle.cov()
         var = 2.0 * np.trace(B @ C @ B @ C)
         expect = math.sqrt(2.0 / math.pi) * math.sqrt(var) / oracle.true_Q
@@ -83,18 +89,30 @@ class TestAnalytic:
     def test_closed_form_matches_dense_trace(self, spec):
         # 2 tr(BCBC) from the dense dependence matrix and covariance
         _, oracle = structure(spec)
-        B = oracle.adjacency().astype(float)
+        B = dense_dependence(oracle.dependent)
         BC = B @ oracle.cov()
         dense = math.sqrt(2.0 / math.pi) * math.sqrt(2.0 * np.trace(BC @ BC)) / oracle.true_Q
         assert wasserstein_bound(spec).term_var == pytest.approx(dense, rel=1e-12)
 
-    @pytest.mark.parametrize("variant", ["additive-re", "iid-conservative"])
-    def test_allocates_no_n_by_n_array(self, variant):
-        M = 64
-        n = M * M
+    @pytest.mark.parametrize(
+        "spec,method",
+        [
+            (DgpSpec(variant="additive-re", M=64, hetero_alpha=True), "analytic"),
+            (DgpSpec(variant="iid-conservative", M=64, hetero_alpha=True), "analytic"),
+            # n = 3600, so one dense float matrix takes 104 MB. The triple's true
+            # dependence is not its scheme's when one-way; the Monte Carlo path
+            # sums over it with no n-by-n array (the analytic path holds an
+            # n-by-2M covariance factor, itself larger than the bound here)
+            (DgpSpec(variant="nonzero-mean-triple", M=1200), "monte-carlo"),
+            (DgpSpec(variant="nonzero-mean-triple", M=1200, triple_one_way=True), "monte-carlo"),
+        ],
+        ids=["additive-re", "iid-conservative", "triple-two-way-monte-carlo", "triple-one-way-monte-carlo"],
+    )
+    def test_allocates_no_n_by_n_array(self, spec, method):
+        n = structure(spec)[0].n
         tracemalloc.start()
         try:
-            wasserstein_bound(DgpSpec(variant=variant, M=M, hetero_alpha=True))
+            wasserstein_bound(spec, method=method, reps=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

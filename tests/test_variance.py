@@ -133,6 +133,28 @@ class TestCgmRaw:
         q2 = cgm_raw(sample, index, method="inclusion-exclusion").Q_hat
         np.testing.assert_allclose(q1, q2, rtol=1e-12, atol=1e-12)
 
+    @given(
+        st.sampled_from(["random", "singletons", "one-cluster", "one-way"]),
+        st.sampled_from([1, 3]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_k_column_pair_sum_equals_pair_enumeration(self, shape, K, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g, h = {
+            "random": (rng.integers(0, 5, n), rng.integers(0, 6, n)),
+            "singletons": (np.arange(n), np.arange(n)),
+            "one-cluster": (np.zeros(n, dtype=int), np.zeros(n, dtype=int)),
+            "one-way": (np.zeros(n, dtype=int), np.arange(n)),
+        }[shape]
+        sample = WeightedSample(W=rng.normal(size=(n, K)), omega=rng.uniform(0.2, 2.0, n))
+        index = build_index(ClusterScheme.from_labels(g, h))
+        ie = cgm_raw(sample, index, method="inclusion-exclusion").Q_hat
+        enum = cgm_raw(sample, index, method="pair-enum").Q_hat
+        assert ie.shape == enum.shape == (K, K)
+        np.testing.assert_allclose(ie, enum, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(enum).max()))
+
     def test_unknown_method(self):
         rng = np.random.default_rng(5)
         sample, index, _, _ = random_instance(rng)
