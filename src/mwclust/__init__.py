@@ -11,7 +11,6 @@ from mwclust.variance import (
     VarianceEstimate,
     cgm_demeaned,
     cgm_raw,
-    psd_project,
     smallest_eigenvalue,
     weighted_mean,
 )
@@ -19,7 +18,6 @@ from mwclust.regression import (
     InferenceResult,
     RegressionData,
     SingularDesignError,
-    fixed_design_inference,
     stochastic_design_inference,
     theta_inference,
 )
@@ -49,12 +47,10 @@ __all__ = [
     "build_index",
     "cgm_demeaned",
     "cgm_raw",
-    "fixed_design_inference",
     "kolmogorov_bound",
     "ks_statistic",
     "leverage_L",
     "pair_weight_sums",
-    "psd_project",
     "run_consistency",
     "run_coverage",
     "smallest_eigenvalue",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import operator
 import sys
 import warnings
@@ -73,7 +74,23 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _require_finite(obj, path: str = "") -> None:
+    """Raise FloatingPointError naming the key path of the first NaN or infinity in ``obj``.
+
+    No report holds one; the path reads like ``results.bounds[0].term_third``.
+    """
+    if isinstance(obj, dict):
+        for k, v in sorted(obj.items()):
+            _require_finite(v, f"{path}.{k}" if path else k)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for k, v in enumerate(obj):
+            _require_finite(v, f"{path}[{k}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise FloatingPointError(f"report value {path} is not finite in double precision")
+
+
 def _report(command: str, config_echo: dict, results: dict, warnings: list[str]) -> str:
+    """The report as strict JSON: a NaN or an infinity exits 3, it is never a token."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -81,15 +98,19 @@ def _report(command: str, config_echo: dict, results: dict, warnings: list[str])
         "results": results,
         "warnings": warnings,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    _require_finite(doc)
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _load_config(path: str, allowed: set[str]) -> dict:
@@ -400,6 +421,20 @@ def _setting(args, cfg: dict, key: str, default, least: int, below: int | None =
     return _integer(cfg.get(key, default), f"config key {key!r}", least, below)
 
 
+def _output(args, cfg: dict, csv_ok: bool = False) -> tuple[str | None, str]:
+    """The report's path (None for stdout) and format, options first; also checks ``write_data``."""
+    for key in ("out", "write_data"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise ConfigError(f"config key {key!r} must be a path string, got {cfg[key]!r}")
+    fmt = cfg.get("format", "json")
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"config key 'format': unknown format {fmt!r}; use 'json' or 'csv'")
+    fmt = getattr(args, "format", None) or fmt
+    if fmt == "csv" and not csv_ok:
+        raise ConfigError("csv format is only available for the consistency trace")
+    return args.out or cfg.get("out"), fmt
+
+
 def _sweep(sweep) -> list[int]:
     """A nonempty list of grid sizes M >= 1."""
     if not isinstance(sweep, list) or not sweep:
@@ -416,11 +451,11 @@ def cmd_simulate(args) -> int:
     # a sample standard deviation needs two replications
     reps = _setting(args, cfg, "reps", 1000, 1 if mode == "coverage" else 2)
     seed = _setting(args, cfg, "seed", 0, 0, 2**64)
-    out = args.out or cfg.get("out")
-    fmt = args.format or cfg.get("format", "json")
-    warnings: list[str] = []
+    out, fmt = _output(args, cfg, csv_ok=mode == "consistency")
     scheme, oracle = structure(spec)
     if mode == "coverage":
+        if not oracle.true_Q < math.inf:
+            raise ConfigError("config key 'dgp': design variance overflows double precision")
         target = cfg.get("target", "mean")
         if target not in ("mean", "regression-theta"):
             raise ConfigError(
@@ -438,20 +473,20 @@ def cmd_simulate(args) -> int:
             )
     else:
         sweep = _sweep(cfg.get("sweep"))
+        demean = cfg.get("demean", False)
+        if not isinstance(demean, bool):
+            raise ConfigError(f"config key 'demean' must be true or false, got {demean!r}")
         try:
-            report = run_consistency(spec, sweep, reps=reps, seed=seed, demean=bool(cfg.get("demean", False)))
-        except ValueError as exc:  # a design of zero variance at some M
+            report = run_consistency(spec, sweep, reps=reps, seed=seed, demean=demean)
+        except ValueError as exc:  # a design of zero or overflowing variance at some M
             raise ConfigError(f"config keys 'dgp' and 'sweep': {exc}") from None
         results = report.to_dict()
     results["true_Q"] = oracle.true_Q
     results["bias_term"] = true_bias_term(oracle)
     results["n"] = scheme.n
-    warnings.extend(results.pop("warnings", []))
-    echo = dict(cfg)
-    echo.update({"reps": reps, "seed": seed, "mode": mode})
+    warnings = results.pop("warnings")
+    echo = {**cfg, "reps": reps, "seed": seed, "mode": mode}
     if fmt == "csv":
-        if mode != "consistency":
-            raise ConfigError("csv format is only available for the consistency trace")
         _emit(_trace_csv(results["trace"]), out)
     else:
         _emit(_report("simulate", echo, results, warnings), out)
@@ -459,6 +494,7 @@ def cmd_simulate(args) -> int:
 
 
 def _trace_csv(trace: list[dict]) -> str:
+    _require_finite(trace, "results.trace")
     cols = ["M", "n", "mean_var_ratio", "var_ratio_sd", "mc_se"]
     lines = [",".join(cols)]
     for row in trace:
@@ -471,10 +507,8 @@ def _write_replication(path: str, spec: DgpSpec, seed: int) -> dict:
     scheme, _ = structure(spec)
     data = regression_replication(replace(spec, seed=seed), scheme, 0)
     g, h = scheme.labels
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("y,d,g,h\n")
-        for k in range(scheme.n):
-            fh.write(f"{float(data.Y[k])!r},{float(data.D[k])!r},{g[k]},{h[k]}\n")
+    rows = (f"{float(data.Y[k])!r},{float(data.D[k])!r},{g[k]},{h[k]}\n" for k in range(scheme.n))
+    _emit("".join(["y,d,g,h\n", *rows]), path)
     res = theta_inference(data, build_index(scheme))
     return {"path": path, "theta_hat": res.theta_hat, "sigma_hat": res.sigma_hat}
 
@@ -488,41 +522,34 @@ def cmd_bound(args) -> int:
     # the Monte Carlo variance term is a sample variance
     reps = _setting(args, cfg, "reps", 10_000, 2 if method == "monte-carlo" else 1)
     sweep = _sweep(cfg.get("sweep") or [spec.M])
+    out, _ = _output(args, cfg)
     results = {"bounds": []}
     for M in sweep:
         try:
             rep = wasserstein_bound(replace(spec, M=M), method=method, reps=reps)
-        except ValueError as exc:  # a design of zero variance, or not Gaussian for 'analytic'
+        except ValueError as exc:  # a design of zero or overflowing variance, or not Gaussian for 'analytic'
             raise ConfigError(f"config keys 'dgp' and 'method' at M={M}: {exc}") from None
-        entry = rep.to_dict()
-        entry["M"] = M
-        results["bounds"].append(entry)
-    echo = dict(cfg)
-    echo.update({"method": method, "reps": reps, "sweep": list(sweep)})
-    _emit(_report("bound", echo, results, []), args.out or cfg.get("out"))
+        results["bounds"].append({**rep.to_dict(), "M": M})
+    echo = {**cfg, "method": method, "reps": reps, "sweep": list(sweep)}
+    _emit(_report("bound", echo, results, []), out)
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    warnings: list[str] = []
     if args.config:
         cfg = _load_config(args.config, _DIAGNOSE_KEYS)
         spec = _dgp_from_config(cfg)
+        out, _ = _output(args, cfg)
         scheme, oracle = structure(spec)
         if not oracle.true_Q > 0:
             raise ConfigError("config key 'dgp': design has zero variance; the ratios are undefined")
+        if not oracle.true_Q < math.inf:
+            raise ConfigError("config key 'dgp': design variance overflows double precision")
         index = build_index(scheme)
-        report = assumption_ratios(
-            index,
-            np.ones(scheme.n),
-            oracle.true_Q,
-            dependent=oracle.dependent,
-        )
-        results = report.to_dict()
+        results = assumption_ratios(index, np.ones(scheme.n), oracle.true_Q, dependent=oracle.dependent).to_dict()
         results["true_Q"] = oracle.true_Q
-        warnings.extend(results.pop("warnings", []))
-        echo = dict(cfg)
-        _emit(_report("diagnose", echo, results, warnings), args.out or cfg.get("out"))
+        warnings = results.pop("warnings")
+        _emit(_report("diagnose", dict(cfg), results, warnings), out)
         return EXIT_OK
     if not args.data or not args.cluster:
         raise ConfigError("diagnose requires either --config or --data with --cluster")
@@ -535,9 +562,7 @@ def cmd_diagnose(args) -> int:
         index = build_index(scheme)
         weights = np.ones(scheme.n) if w is None else w
     results = {"L_per_dim": leverage_L(index, weights), "n": index.n}
-    warnings.append(
-        "data mode: dependence indicator unobservable; only leverage reported"
-    )
+    warnings = ["data mode: dependence indicator unobservable; only leverage reported"]
     echo = {
         "data": args.data,
         "cluster": args.cluster,

@@ -127,10 +127,6 @@ class WeightedSample:
     def n(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def K(self) -> int:
-        return self.W.shape[1]
-
 
 class NeighborhoodIndex:
     """Cluster sizes, intersection cells and the shared cluster-sum kernel.

@@ -98,11 +98,6 @@ class MomentOracle:
             self._factor = self._factor_builder()
         return self._factor
 
-    def cov(self) -> np.ndarray:
-        """Dense n-by-n covariance of the observations, for checks at small n."""
-        F, e = self.cov_factor()
-        return F @ F.T + np.diag(e)
-
 
 def _schedule(base: float, count: int, hetero: bool) -> np.ndarray:
     if hetero:

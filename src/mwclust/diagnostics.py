@@ -8,7 +8,7 @@ as a surrogate. Both modes sum through ``NeighborhoodIndex``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,14 +29,7 @@ class DiagnosticsReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "L_per_dim": self.L_per_dim,
-            "ratio_22": self.ratio_22,
-            "ratio_23_upper": self.ratio_23_upper,
-            "rank_lambda": self.rank_lambda,
-            "oracle_mode": self.oracle_mode,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def leverage_L(index: NeighborhoodIndex, weights) -> dict[str, float]:

@@ -9,12 +9,12 @@ aggregation is order-independent. Each study draws all its streams from one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from mwclust.clusters import ClusterScheme, NeighborhoodIndex, build_index
-from mwclust.dgp import DgpSpec, Streams, _streams_for, draw, structure, true_bias_term
+from mwclust.dgp import DgpSpec, Streams, _streams_for, draw, structure
 from mwclust.regression import RegressionData, Z_CRIT_95, intercept_only_slope
 
 # component ids 0..2 are used inside the dgp module for the outcome draws
@@ -36,23 +36,11 @@ class McReport:
     var_ratio_sd: float | None = None
     ks_pivot: float | None = None
     rejection_flags: int = 0
-    bias_term: float | None = None
     trace: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "reps": self.reps,
-            "seed": self.seed,
-            "coverage_95": self.coverage_95,
-            "mean_var_ratio": self.mean_var_ratio,
-            "var_ratio_sd": self.var_ratio_sd,
-            "ks_pivot": self.ks_pivot,
-            "rejection_flags": self.rejection_flags,
-            "bias_term": self.bias_term,
-            "trace": list(self.trace),
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def ks_statistic(samples) -> float:
@@ -114,9 +102,8 @@ def run_coverage(
     spec = replace(spec, seed=seed)
     streams = Streams(seed)
     n = scheme.n
-    report = McReport(reps=reps, seed=seed, bias_term=true_bias_term(oracle))
+    report = McReport(reps=reps, seed=seed)
     if oracle.true_Q <= 0:
-        report.coverage_95 = None
         report.warnings.append("degenerate design: zero variance, coverage undefined")
         return report
     sigma_true = math.sqrt(oracle.true_Q)
@@ -171,8 +158,8 @@ def run_consistency(
         spec_m = replace(spec, M=int(M), seed=seed)
         scheme, oracle = structure(spec_m)
         index = build_index(scheme)
-        if oracle.true_Q <= 0:
-            raise ValueError(f"true variance is not positive at M={M}")
+        if not 0 < oracle.true_Q < math.inf:
+            raise ValueError(f"true variance is not positive and finite at M={M}")
         ones = np.ones(scheme.n)
         ratios = np.empty(reps)
         for r in range(reps):

@@ -208,19 +208,12 @@ def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) 
     )
 
 
-def fixed_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
-    """Slope inference treating the regressors as nonstochastic."""
-    beta, D_tilde, ssd, u_hat = _fit(data)
-    pair_sum = float(_pair_sum((u_hat * D_tilde)[:, None], index)[0, 0])
-    sigma_sq = _slope_variance(pair_sum, ssd)
-    return _finish_scalar(beta, float(beta[0]), sigma_sq, u_hat, D_tilde, score_pair_sum=pair_sum)
-
-
 def intercept_only_slope(D: np.ndarray, Y: np.ndarray, index: NeighborhoodIndex) -> tuple[float, float]:
-    """(theta_hat, sigma_sq) of ``fixed_design_inference`` on D and an intercept, to rounding.
+    """(theta_hat, sigma_sq) of the residualized slope of ``_fit`` on D and an intercept, to rounding.
 
     Partialling out the intercept is demeaning, to Dt and Yt; ``_fit``'s rank
-    rule reads Dt'Dt <= ``RANK_LAMBDA_MIN`` D'D.
+    rule reads Dt'Dt <= ``RANK_LAMBDA_MIN`` D'D. sigma_sq is ``_slope_variance``
+    of the pair sum of the scores (Yt - theta Dt) Dt.
     """
     Dt = D - D.mean()
     Yt = Y - Y.mean()

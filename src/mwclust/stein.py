@@ -10,7 +10,7 @@ pairs of the oracle's true dependence, a label pair, through its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,14 +31,7 @@ class BoundReport:
     mc_se: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "term_third": self.term_third,
-            "term_var": self.term_var,
-            "d_W_bound": self.d_W_bound,
-            "d_K_bound": self.d_K_bound,
-            "method": self.method,
-            "mc_se": self.mc_se,
-        }
+        return asdict(self)
 
 
 def kolmogorov_bound(d_W: float) -> float:
@@ -94,7 +87,7 @@ def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
     term_third = float(np.abs(e).sum()) / sigma_sq**1.5
     var_u = np.maximum(u_sumsq / reps - e * e, 0.0)
     se_third = math.sqrt(float(var_u.sum()) / reps) / sigma_sq**1.5
-    var_T = float(np.var(T, ddof=1))
+    var_T = np.var(T, ddof=1)  # a numpy scalar: its square overflows to inf, a float's raises
     centered = T - T.mean()
     m4 = float(np.mean(centered**4))
     se_var_T = math.sqrt(max(m4 - var_T**2, 0.0) / reps)
@@ -125,6 +118,9 @@ def wasserstein_bound(
     _, oracle = structure(spec)
     if oracle.true_Q <= 0:
         raise ValueError("design has zero variance; bound undefined")
+    with np.errstate(over="ignore"):  # sigma^3 divides the third-moment term
+        if not np.float64(oracle.true_Q) ** 1.5 < np.inf:
+            raise ValueError("design variance overflows double precision; bound undefined")
     if method == "analytic":
         return _analytic(oracle)
     if method == "monte-carlo":

@@ -28,7 +28,6 @@ class VarianceEstimate:
     lambda_min: float
     method: str
     demeaned: bool
-    psd_projected: bool = False
 
 
 def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
@@ -55,11 +54,7 @@ def symmetric_eigh(M) -> tuple[np.ndarray, np.ndarray]:
 
 def smallest_eigenvalue(M) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    a = np.asarray(M, dtype=float)
-    if a.shape == (1, 1):
-        # the entry itself, as LAPACK returns it, without the call
-        return float(a[0, 0])
-    vals, _ = symmetric_eigh(a)
+    vals, _ = symmetric_eigh(M)
     return float(vals[0])
 
 
@@ -146,13 +141,3 @@ def psd_clip(M) -> np.ndarray:
     Q = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
     return 0.5 * (Q + Q.T)
 
-
-def psd_project(est: VarianceEstimate) -> VarianceEstimate:
-    """Clip negative eigenvalues of the estimate at zero. Idempotent."""
-    Q = psd_clip(est.Q_hat)
-    return replace(
-        est,
-        Q_hat=Q,
-        lambda_min=max(0.0, smallest_eigenvalue(Q)),
-        psd_projected=True,
-    )

@@ -920,6 +920,94 @@ class TestStudySettings:
             assert_config_error(*run_cli([command, "--config", path], capsys), "invalid dgp spec", key)
 
 
+ANALYTIC_BOUND = {**MC_BOUND, "method": "analytic"}
+ORACLE_DIAGNOSE = {"dgp": {"variant": "additive-re", "M": 3}}
+
+
+class TestHugeScales:
+    """Finite but huge dgp scales exit 2 naming 'dgp', or 3 naming the report value; no NaN, Infinity or traceback."""
+
+    @pytest.mark.parametrize(
+        "command,cfg,scale,expected,names",
+        [
+            ("simulate", COVERAGE, 1e200, 2, ["'dgp'", "overflows"]),
+            ("simulate", {**COVERAGE, "target": "regression-theta"}, 1e200, 2, ["'dgp'", "overflows"]),
+            ("simulate", CONSISTENCY, 1e200, 2, ["'dgp'", "'sweep'", "M=2", "finite"]),
+            ("simulate", {**CONSISTENCY, "format": "csv"}, 1e200, 2, ["'dgp'", "'sweep'", "M=2"]),
+            ("diagnose", ORACLE_DIAGNOSE, 1e200, 2, ["'dgp'", "overflows"]),
+            *(("bound", cfg, scale, 2, ["'dgp'", "overflows"])
+              for cfg in (MC_BOUND, ANALYTIC_BOUND) for scale in (1e120, 1e150, 1e200, 1e300)),
+            ("bound", MC_BOUND, 1e40, 3, ["report value results.bounds[0].mc_se is not finite"]),
+            ("bound", ANALYTIC_BOUND, 1e100, 3, ["report value results.bounds[0].d_K_bound is not finite"]),
+        ],
+    )
+    def test_exit_code_and_strict_output(self, tmp_path, capsys, command, cfg, scale, expected, names):
+        cfg = {**cfg, "dgp": {**cfg["dgp"], "sigma_eps": scale}}
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert (code, out) == (expected, ""), err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for name in names:
+            assert name in err, err
+
+    def test_report_writer_names_the_first_non_finite_key_path(self):
+        bounds = [{"term_var": 1.0, "mc_se": None}, {"term_var": float("-inf"), "mc_se": float("nan")}]
+        with pytest.raises(FloatingPointError, match=r"^report value results\.bounds\[1\]\.mc_se is not finite"):
+            cli._report("bound", {}, {"bounds": bounds}, [])
+        with pytest.raises(FloatingPointError, match=r"results\.V_hat_diag\[2\] is not finite"):
+            cli._report("estimate", {}, {"V_hat_diag": np.array([1.0, 0.0, np.inf])}, [])
+
+    def test_csv_writer_names_the_key_path(self):
+        trace = [{"M": 2, "n": 4, "mean_var_ratio": 1.0, "var_ratio_sd": 0.5, "mc_se": 0.1},
+                 {"M": 3, "n": 9, "mean_var_ratio": float("nan"), "var_ratio_sd": float("inf"), "mc_se": 0.1}]
+        with pytest.raises(FloatingPointError, match=r"results\.trace\[1\]\.mean_var_ratio is not finite"):
+            cli._trace_csv(trace)
+
+
+class TestOutputSettings:
+    """Bad output keys and unwritable paths exit 2 naming the key or the path, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "command,cfg,key,value",
+        [
+            ("simulate", CONSISTENCY, "demean", "no"),
+            ("simulate", CONSISTENCY, "demean", 1),
+            ("simulate", CONSISTENCY, "format", "xml"),
+            ("simulate", CONSISTENCY, "out", 7),
+            ("simulate", COVERAGE, "write_data", 5),
+            ("simulate", CONSISTENCY, "write_data", 5),
+            ("bound", MC_BOUND, "out", 7),
+            ("bound", MC_BOUND, "format", "xml"),
+            ("diagnose", ORACLE_DIAGNOSE, "out", 7),
+            ("diagnose", ORACLE_DIAGNOSE, "format", "xml"),
+        ],
+    )
+    def test_bad_output_key(self, tmp_path, capsys, command, cfg, key, value):
+        path = write_config(tmp_path, {**cfg, key: value})
+        assert_config_error(*run_cli([command, "--config", path], capsys), f"config key '{key}'", repr(value))
+
+    @pytest.mark.parametrize("command,cfg", [("simulate", COVERAGE), ("bound", MC_BOUND), ("diagnose", ORACLE_DIAGNOSE)])
+    def test_csv_only_for_the_consistency_trace(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, {**cfg, "format": "csv"})
+        assert_config_error(*run_cli([command, "--config", path], capsys), "csv format")
+
+    @pytest.mark.parametrize("where", ["option", "out", "write_data"])
+    @pytest.mark.parametrize("missing", ["no/such/dir/r.txt", "."])
+    def test_unwritable_simulate_path(self, tmp_path, capsys, where, missing):
+        target = str(tmp_path / missing)
+        cfg = {**COVERAGE, "target": "regression-theta"}
+        argv = ["--out", target] if where == "option" else []
+        if where != "option":
+            cfg[where] = target
+        path = write_config(tmp_path, cfg)
+        assert_config_error(*run_cli(["simulate", "--config", path, *argv], capsys), f"cannot write {target}")
+
+    @pytest.mark.parametrize("missing", ["no/such/dir/r.json", "."])
+    def test_unwritable_estimate_out(self, tmp_path, capsys, missing):
+        target = str(tmp_path / missing)
+        argv = ["estimate", "--data", str(DATA), "--y", "y", "--d", "d", "--cluster", "g,h", "--out", target]
+        assert_config_error(*run_cli(argv, capsys), f"cannot write {target}")
+
+
 def optional(strategy):
     """A value drawn from ``strategy``, or None for a key left out."""
     return st.none() | strategy
@@ -939,7 +1027,8 @@ STUDY_VALUES = dict(
             "cell_size": st.integers(1, 2),
             **{key: st.sampled_from(["gaussian", "centered-exponential", "rademacher"])
                for key in ("dist_alpha", "dist_gamma", "dist_eps")},
-            **{key: st.sampled_from([0.0, 0.5, 1, 2.0]) for key in ("sigma_alpha", "sigma_gamma", "sigma_eps")},
+            **{key: st.sampled_from([0.0, 0.5, 1, 2.0, 1e100, 1e120, 1e150, 1e200, 1e300])
+               for key in ("sigma_alpha", "sigma_gamma", "sigma_eps")},
             **{key: st.booleans() for key in ("hetero_alpha", "hetero_gamma", "hetero_eps", "triple_one_way")},
             "seed": st.integers(0, 2**64 - 1),
         },
@@ -953,11 +1042,12 @@ BAD_VALUES = optional(st.sampled_from([
     ("dgp.dist_alpha", "cauchy"), ("dgp.sigma_alpha", -1.0), ("dgp.sigma_alpha", float("nan")),
     ("dgp.sigma_gamma", float("inf")), ("dgp.sigma_eps", None), ("dgp.sigma_eps", "1"),
     ("dgp.seed", -1), ("dgp.seed", 2**64), ("dgp.seed", 2.5), ("dgp.hetero_eps", "no"),
+    ("demean", "no"), ("format", "xml"), ("out", 7), ("write_data", 5),
 ]))
 
 
 class TestStudyFuzz:
-    """Random ``simulate`` and ``bound`` configs exit 0 with a strict JSON report, or exit 2."""
+    """Random ``simulate`` and ``bound`` configs exit 0 with a strict JSON report, or exit 2 or 3 with a message."""
 
     @staticmethod
     def check(tmp_path, capsys, command, cfg, bad, reps_option):
@@ -969,7 +1059,7 @@ class TestStudyFuzz:
         if reps_option is not None:
             argv += ["--reps", str(reps_option)]
         code, out, err = run_cli(argv, capsys)
-        assert code in (0, 2), err
+        assert code in (0, 2, 3), err
         if code == 0:
             check_report(out)
             json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity

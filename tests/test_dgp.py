@@ -127,6 +127,12 @@ def reference_labels(spec: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
+def dense_cov(oracle) -> np.ndarray:
+    """The n-by-n covariance F F' + diag(e) from the oracle's low-rank factor."""
+    F, e = oracle.cov_factor()
+    return F @ F.T + np.diag(e)
+
+
 def dense_dependence(labels) -> np.ndarray:
     """The n-by-n boolean matrix of pairs that share a label of ``labels`` on either dimension."""
     g, h = labels.labels
@@ -203,7 +209,7 @@ class TestLayout:
         _, oracle = structure(DgpSpec(variant="nonzero-mean-triple", M=3, triple_one_way=one_way))
         A = dense_dependence(oracle.dependent)
         np.testing.assert_array_equal(A, reference_triple_dependent(3))
-        np.testing.assert_array_equal(A, oracle.cov() != 0)
+        np.testing.assert_array_equal(A, dense_cov(oracle) != 0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_shared_arrays_are_read_only(self, variant):
@@ -248,7 +254,7 @@ class TestCovFactor:
         F, e = oracle.cov_factor()
         assert F.shape[0] == e.shape[0] == oracle.scheme.n
         assert F.shape[1] <= 2 * spec.M
-        np.testing.assert_allclose(oracle.cov(), reference_cov(spec), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(dense_cov(oracle), reference_cov(spec), rtol=1e-15, atol=0.0)
 
 
 class TestStructure:
@@ -263,19 +269,19 @@ class TestStructure:
             variant="additive-re", M=3, cell_size=2, hetero_alpha=True, hetero_eps=True
         )
         _, oracle = structure(spec)
-        assert oracle.true_Q == pytest.approx(oracle.cov().sum(), rel=1e-12)
+        assert oracle.true_Q == pytest.approx(dense_cov(oracle).sum(), rel=1e-12)
 
     def test_additive_cov_matches_empirical(self):
         spec = DgpSpec(variant="additive-re", M=3, sigma_eps=0.5, hetero_gamma=True)
         scheme, oracle = structure(spec)
         draws = np.stack([draw(spec, r) for r in range(40_000)])
         emp = np.cov(draws.T)
-        assert np.abs(emp - oracle.cov()).max() < 0.1
+        assert np.abs(emp - dense_cov(oracle)).max() < 0.1
 
     def test_chaos_is_uncorrelated_but_dependent(self):
         spec = DgpSpec(variant="interactive-chaos", M=4)
         scheme, oracle = structure(spec)
-        C = oracle.cov()
+        C = dense_cov(oracle)
         assert np.abs(C - np.diag(np.diag(C))).max() == 0.0
         A = dense_dependence(oracle.dependent)
         g, h = scheme.labels
@@ -339,14 +345,14 @@ class TestTriple:
         _, oracle = structure(spec)
         draws = np.stack([draw(spec, r) for r in range(40_000)])
         np.testing.assert_allclose(draws.mean(axis=0), [1.0, -1.0, 1.0], atol=0.03)
-        np.testing.assert_allclose(np.cov(draws.T), oracle.cov(), atol=0.06)
+        np.testing.assert_allclose(np.cov(draws.T), dense_cov(oracle), atol=0.06)
 
     def test_true_q_counts_dependent_pairs(self):
         # sum over truly dependent pairs of block_cov entries: 8 per block
         spec = DgpSpec(variant="nonzero-mean-triple", M=3)
         _, oracle = structure(spec)
         A = dense_dependence(oracle.dependent)
-        assert oracle.true_Q == pytest.approx((oracle.cov() * A).sum())
+        assert oracle.true_Q == pytest.approx((dense_cov(oracle) * A).sum())
         assert oracle.true_Q == 24.0
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 from mwclust import harness
 from mwclust.cli import main
 from mwclust.clusters import NeighborhoodIndex, WeightedSample, build_index
-from mwclust.dgp import DgpSpec, Streams, draw, structure
+from mwclust.dgp import DgpSpec, Streams, draw, structure, true_bias_term
 from mwclust.harness import (
     COMP_D_ALPHA,
     COMP_D_GAMMA,
@@ -23,7 +23,7 @@ from mwclust.harness import (
     run_consistency,
     run_coverage,
 )
-from mwclust.regression import SingularDesignError, fixed_design_inference, intercept_only_slope
+from mwclust.regression import SingularDesignError, _fit, _slope_variance, intercept_only_slope
 from mwclust.stein import wasserstein_bound
 from mwclust.variance import cgm_demeaned, cgm_raw
 
@@ -67,7 +67,7 @@ class TestRunCoverage:
         rep = run_coverage(spec, target="mean", reps=400, seed=0)
         assert 0.85 <= rep.coverage_95 <= 0.99
         assert rep.mean_var_ratio == pytest.approx(1.0, abs=0.25)
-        assert rep.bias_term == 0.0
+        assert true_bias_term(structure(spec)[1]) == 0.0
 
     def test_regression_target_runs_and_covers(self):
         spec = DgpSpec(variant="additive-re", M=10)
@@ -302,7 +302,7 @@ def reference_coverage_mean(spec, reps, seed):
     spec = replace(spec, seed=seed)
     scheme, oracle = structure(spec)
     n = scheme.n
-    report = McReport(reps=reps, seed=seed, bias_term=harness.true_bias_term(oracle))
+    report = McReport(reps=reps, seed=seed)
     sigma_true = math.sqrt(oracle.true_Q)
     covered, pivots, ratios = 0, np.empty(reps), np.empty(reps)
     for r, (mean, q) in enumerate(reference_estimates(spec, reps, demean=True)):
@@ -379,8 +379,14 @@ class TestLoopsMatchEstimatorObjects:
         assert_same_bits(study, ref)
 
 
+def residualized_slope(data, index):
+    """(theta_hat, sigma_sq) of the residualized slope of ``_fit``: the general fit, with no shortcut."""
+    _, D_tilde, ssd, u_hat = _fit(data)
+    return float(D_tilde @ data.Y) / ssd, _slope_variance(index.pair_sum(u_hat * D_tilde), ssd)
+
+
 class TestInterceptOnlySlope:
-    """The regression target's closed form against ``fixed_design_inference`` on the same replication."""
+    """The regression target's closed form against the residualized slope of ``_fit`` on the same replication."""
 
     @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
     def test_matches_fixed_design_inference(self, design):
@@ -389,11 +395,11 @@ class TestInterceptOnlySlope:
         index = build_index(scheme)
         for r in range(40):
             data = regression_replication(spec, scheme, r)
-            res = fixed_design_inference(data, index)
+            ref_theta, ref_sigma_sq = residualized_slope(data, index)
             theta, sigma_sq = intercept_only_slope(data.D, data.Y, index)
-            assert abs(theta - res.theta_hat) <= 1e-12 * abs(res.theta_hat), r
-            assert abs(sigma_sq - res.sigma_sq) <= 1e-12 * abs(res.sigma_sq), r
-            assert (sigma_sq <= 0) == (res.sigma_sq <= 0), r
+            assert abs(theta - ref_theta) <= 1e-12 * abs(ref_theta), r
+            assert abs(sigma_sq - ref_sigma_sq) <= 1e-12 * abs(ref_sigma_sq), r
+            assert (sigma_sq <= 0) == (ref_sigma_sq <= 0), r
 
     def test_one_way_triple_variances_are_zero_and_flagged(self):
         spec = LOOP_DESIGNS["triple-one-way"]
@@ -412,7 +418,7 @@ class TestInterceptOnlySlope:
         data = regression_replication(spec, scheme, 0)
         data = replace(data, D=D)
         with pytest.raises(SingularDesignError) as fit_error:
-            fixed_design_inference(data, index)
+            _fit(data)
         with pytest.raises(SingularDesignError) as closed_form_error:
             intercept_only_slope(data.D, data.Y, index)
         assert str(closed_form_error.value) == str(fit_error.value)

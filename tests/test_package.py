@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import mwclust
@@ -15,10 +16,14 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("generate", "rank_condition", "ols_fit", "fwl_residualize"):
+    removed = ("generate", "rank_condition", "ols_fit", "fwl_residualize", "fixed_design_inference", "psd_project")
+    for name in removed:
         assert name not in mwclust.__all__
         assert not hasattr(mwclust, name)
-    assert not hasattr(mwclust.MomentOracle, "third_moment")
+    for attr in ("third_moment", "cov"):
+        assert not hasattr(mwclust.MomentOracle, attr)
+    assert "psd_projected" not in {f.name for f in fields(mwclust.VarianceEstimate)}
+    assert "bias_term" not in {f.name for f in fields(mwclust.McReport)}
 
 
 def test_cli_import_leaves_scipy_unloaded():

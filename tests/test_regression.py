@@ -11,14 +11,23 @@ from mwclust.regression import (
     RegressionData,
     SingularDesignError,
     Z_CRIT_95,
+    _finish_scalar,
     _fit,
     _pow2_scaled,
     _slope_variance,
-    fixed_design_inference,
     stochastic_design_inference,
     theta_inference,
 )
 from mwclust.variance import cgm_raw, smallest_eigenvalue
+
+
+def fixed_design_inference(data, index):
+    """Slope inference treating the regressors as nonstochastic: the residualized slope of ``_fit``
+    and its variance, the pair sum of u_hat * D_tilde over (sum D_tilde^2)^2."""
+    beta, D_tilde, ssd, u_hat = _fit(data)
+    pair_sum = index.pair_sum(u_hat * D_tilde)
+    sigma_sq = _slope_variance(pair_sum, ssd)
+    return _finish_scalar(beta, float(beta[0]), sigma_sq, u_hat, D_tilde, score_pair_sum=pair_sum)
 
 
 def make_data(Y, D, controls, g, h, names=()):

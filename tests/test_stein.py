@@ -18,6 +18,12 @@ def dense_dependence(labels) -> np.ndarray:
     return ((g[:, None] == g[None, :]) | (h[:, None] == h[None, :])).astype(float)
 
 
+def dense_cov(oracle) -> np.ndarray:
+    """The n-by-n covariance F F' + diag(e) from the oracle's low-rank factor."""
+    F, e = oracle.cov_factor()
+    return F @ F.T + np.diag(e)
+
+
 def spec_id(spec: DgpSpec) -> str:
     """Short test id: the fields that differ from their defaults."""
     default = DgpSpec(variant=spec.variant)
@@ -61,7 +67,7 @@ class TestAnalytic:
         scheme, oracle = structure(spec)
         rep = wasserstein_bound(spec)
         B = dense_dependence(oracle.dependent)
-        C = oracle.cov()
+        C = dense_cov(oracle)
         var = 2.0 * np.trace(B @ C @ B @ C)
         expect = math.sqrt(2.0 / math.pi) * math.sqrt(var) / oracle.true_Q
         assert rep.term_var == pytest.approx(expect, rel=1e-12)
@@ -90,7 +96,7 @@ class TestAnalytic:
         # 2 tr(BCBC) from the dense dependence matrix and covariance
         _, oracle = structure(spec)
         B = dense_dependence(oracle.dependent)
-        BC = B @ oracle.cov()
+        BC = B @ dense_cov(oracle)
         dense = math.sqrt(2.0 / math.pi) * math.sqrt(2.0 * np.trace(BC @ BC)) / oracle.true_Q
         assert wasserstein_bound(spec).term_var == pytest.approx(dense, rel=1e-12)
 

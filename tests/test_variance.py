@@ -9,7 +9,7 @@ from mwclust.variance import (
     cgm_demeaned,
     cgm_raw,
     dof_factor,
-    psd_project,
+    psd_clip,
     smallest_eigenvalue,
     symmetric_eigh,
     weighted_mean,
@@ -228,14 +228,14 @@ class TestPsdProject:
             build_index(ClusterScheme.from_labels([0, 0, 1], [0, 1, 1])),
         )
         assert est.lambda_min < 0
-        proj = psd_project(est)
-        assert proj.lambda_min >= 0
-        assert proj.psd_projected
+        clipped = psd_clip(est.Q_hat)
+        assert smallest_eigenvalue(clipped) >= 0
+        np.testing.assert_array_equal(clipped, [[0.0]])
 
     def test_idempotent_and_psd_fixed_point(self):
         rng = np.random.default_rng(9)
         sample, index, _, _ = random_instance(rng, K_max=3)
-        proj = psd_project(cgm_raw(sample, index))
-        again = psd_project(proj)
-        np.testing.assert_allclose(again.Q_hat, proj.Q_hat, atol=1e-10)
-        assert np.linalg.eigvalsh(proj.Q_hat)[0] >= -1e-12
+        proj = psd_clip(cgm_raw(sample, index).Q_hat)
+        again = psd_clip(proj)
+        np.testing.assert_allclose(again, proj, atol=1e-10)
+        assert np.linalg.eigvalsh(proj)[0] >= -1e-12
