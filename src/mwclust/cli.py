@@ -16,12 +16,14 @@ import math
 import operator
 import sys
 import warnings
+from collections import defaultdict
 from dataclasses import fields as dc_fields, replace
-from itertools import chain
+from itertools import chain, count
+from urllib.parse import urlparse
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, build_index
+from mwclust.clusters import ClusterScheme, _ranked, build_index
 from mwclust.dgp import DgpSpec, structure, true_bias_term
 from mwclust.diagnostics import assumption_ratios, leverage_L
 from mwclust.harness import regression_replication, run_consistency, run_coverage
@@ -254,42 +256,56 @@ def _needs_csv(path: str) -> bool:
     ``csv.field_size_limit()``, which ``csv`` rejects even in a column not
     read. Such a line covers a whole block of limit // 2 + 1 bytes starting
     at a multiple of that size, so a newline in every such block rules it out.
+    The file is read one such block at a time.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     step = csv.field_size_limit() // 2 + 1
-    return any(c in data for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")) or any(
-        data.find(b"\n", k, k + step) < 0 for k in range(0, len(data) - step + 1, step)
-    )
+    with open(path, "rb") as fh:
+        while block := fh.read(step):
+            long_line = len(block) == step and b"\n" not in block
+            if long_line or any(c in block for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return True
+    return False
+
+
+def _numpy_would_resolve(path: str) -> bool:
+    """Whether numpy, given ``path``, may decompress it (by suffix) or fetch it (a URL, even naming a file)."""
+    scheme, netloc = urlparse(path)[:2]
+    return bool(scheme and netloc) or path.lower().endswith((".gz", ".bz2", ".xz", ".lzma"))
 
 
 def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: str):
     """What ``_read_clustered`` reads, from one pass of numpy's C parser, or None.
 
-    ``np.loadtxt`` reads the same lines as ``csv.reader``, header excepted,
-    and on a file that ``_needs_csv`` passes it splits them into the same
-    fields. Any error or warning, a short row, an empty label, a weight that
-    is not positive or a value that is not finite before or after weighting
-    returns None: the ``csv`` path then reads the file again and names the
-    first bad cell.
+    ``np.loadtxt`` reads the file in chunks and, past the header, splits the
+    lines of a file that ``_needs_csv`` passes into the fields ``csv.reader``
+    reads; a C-level converter codes each label in order of first appearance.
+    Any error or warning, a short row, an empty label or one that ``_ranked``
+    declines, a weight that is not positive or a value that is not finite
+    before or after weighting returns None: the ``csv`` path then reads the
+    file again and names the first bad cell.
     """
     numeric = list(dict.fromkeys([*columns, *([weight] if weight else [])]))
     labels = list(dict.fromkeys(cluster_cols))
     names = [*numeric, *labels]
     if len(set(names)) < len(names):  # a column read both as a number and as a label
         return None
+    if _numpy_would_resolve(path):
+        return None
     try:
         if _needs_csv(path):
             return None
-        with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # "input contained no data" among others
+        with open(path, encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), [])
-            if any(header.count(c) != 1 for c in names):
-                return None
+        if any(header.count(c) != 1 for c in names):
+            return None
+        first = {c: defaultdict(count().__next__) for c in labels}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # "input contained no data" among others
             table = np.loadtxt(
-                fh, delimiter=",", comments=None, ndmin=1,
-                dtype=[(str(j), float if j < len(numeric) else object) for j in range(len(names))],
+                path, delimiter=",", comments=None, ndmin=1, skiprows=1, encoding="utf-8",
+                dtype=[(str(j), float if j < len(numeric) else np.int64) for j in range(len(names))],
                 usecols=[header.index(c) for c in names],
+                converters={header.index(c): first[c].__getitem__ for c in labels},
             )
     except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
@@ -303,10 +319,11 @@ def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: 
     values = {c: cells[c] * root if weight else cells[c].copy() for c in columns}
     if not all(np.isfinite(v).all() for v in values.values()):
         return None
-    label_lists = [cells[c].tolist() for c in cluster_cols]
-    if any("" in lab for lab in label_lists):
+    ranked = {c: None if "" in first[c] else _ranked(cells[c], list(first[c])) for c in labels}
+    if None in ranked.values():
         return None
-    return w, values, label_lists
+    ids, uniq = zip(*(ranked[c] for c in cluster_cols))
+    return w, values, ClusterScheme(dims=tuple(cluster_cols), labels=ids, label_values=uniq)
 
 
 def _read_clustered(args, columns: list[str]):
@@ -320,16 +337,14 @@ def _read_clustered(args, columns: list[str]):
     if len(cluster_cols) != 2:
         raise DataError("--cluster requires exactly two comma-separated columns")
     clean = _read_clean(args.data, columns, cluster_cols, args.weight)
-    if clean is None:
-        table = _read_table(args.data, [*columns, *cluster_cols, *([args.weight] if args.weight else [])])
-        w = _weights(args.data, args.weight, table[args.weight]) if args.weight else None
-        # analytic weights: rescale rows, clusters untouched
-        root = None if w is None else np.sqrt(w)
-        values = {c: _floats(args.data, c, table[c], root) for c in columns}
-        clean = w, values, [table[c] for c in cluster_cols]
-    w, values, label_lists = clean
-    scheme = ClusterScheme.from_labels(*label_lists, dims=tuple(cluster_cols))
-    return w, values, scheme
+    if clean is not None:
+        return clean
+    table = _read_table(args.data, [*columns, *cluster_cols, *([args.weight] if args.weight else [])])
+    w = _weights(args.data, args.weight, table[args.weight]) if args.weight else None
+    # analytic weights: rescale rows, clusters untouched
+    root = None if w is None else np.sqrt(w)
+    values = {c: _floats(args.data, c, table[c], root) for c in columns}
+    return w, values, ClusterScheme.from_labels(*(table[c] for c in cluster_cols), dims=tuple(cluster_cols))
 
 
 def _build_regression(args) -> RegressionData:

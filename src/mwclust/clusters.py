@@ -8,8 +8,10 @@ owns the one kernel that sums over neighborhoods.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -79,27 +81,35 @@ class ClusterScheme:
 def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
     """Dense int64 ids and the sorted distinct values of one label vector.
 
-    The result is that of ``np.unique``. For a list of strings only the
-    distinct labels are sorted; labels with a trailing NUL, which numpy's
-    fixed-width strings drop, go through ``np.unique`` so that it keeps
-    deciding which labels are equal.
+    The result is that of ``np.unique``. A list is coded in order of first
+    appearance and then ranked by ``_ranked``; lists that it declines go
+    through ``np.unique``.
     """
     if isinstance(raw, list):
+        first = defaultdict(count().__next__)
         try:
-            distinct = dict.fromkeys(raw)
+            codes = np.fromiter(map(first.__getitem__, raw), np.int64, count=len(raw))
         except TypeError:  # unhashable items, e.g. nested lists
-            distinct = None
-        if distinct is not None and all(
-            type(v) is str and not v.endswith("\0") for v in distinct
-        ):
-            uniq = sorted(distinct)
-            code = dict(zip(uniq, range(len(uniq))))
-            return np.fromiter(map(code.__getitem__, raw), np.int64, count=len(raw)), tuple(uniq)
+            pass
+        else:
+            if (ranked := _ranked(codes, list(first))) is not None:
+                return ranked
     arr = np.asarray(raw)
     if arr.ndim != 1:
         raise SchemaError(f"labels for dimension {dim!r} must be one-dimensional")
     uniq, inv = np.unique(arr, return_inverse=True)
     return inv.astype(np.int64), tuple(uniq.tolist())
+
+
+def _ranked(codes: np.ndarray, keys: list) -> tuple[np.ndarray, tuple] | None:
+    """``_canonical``'s result from codes in order of first appearance, ``keys[c]`` being code c's label.
+
+    None unless every key is a ``str`` without a trailing NUL (numpy's fixed-width strings drop it).
+    """
+    if not all(type(v) is str and not v.endswith("\0") for v in keys):
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return np.argsort(order)[codes], tuple(keys[k] for k in order)
 
 
 @dataclass(frozen=True)

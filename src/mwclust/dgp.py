@@ -74,6 +74,9 @@ class DgpSpec:
                             ("sigma_eps", self.sigma_eps)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        for name in ("hetero_alpha", "hetero_gamma", "hetero_eps", "triple_one_way"):
+            if not isinstance(getattr(self, name), bool):  # "no" or NaN would read as true
+                raise ValueError(f"dgp.{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -32,6 +32,7 @@ class McReport:
     reps: int
     seed: int
     coverage_95: float | None = None
+    coverage_mc_se: float | None = None  # binomial standard error of coverage_95
     mean_var_ratio: float | None = None
     var_ratio_sd: float | None = None
     ks_pivot: float | None = None
@@ -134,6 +135,7 @@ def run_coverage(
             if theta - Z_CRIT_95 * sigma <= THETA_TRUE <= theta + Z_CRIT_95 * sigma:
                 covered += 1
     report.coverage_95 = covered / reps
+    report.coverage_mc_se = math.sqrt(report.coverage_95 * (1 - report.coverage_95) / reps)
     good = pivots[np.isfinite(pivots)]
     if good.size >= 2:
         report.ks_pivot = ks_statistic(good)

@@ -97,7 +97,7 @@ def _pow2_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(A, -e), e
 
 
-def _fit(data: RegressionData):
+def _fit(data: RegressionData, X: np.ndarray | None = None):
     """(beta, D_tilde, ssd, u_hat) from one QR of the design [controls | D].
 
     The rank decision does not depend on units: each column is scaled by a
@@ -108,6 +108,7 @@ def _fit(data: RegressionData):
     with D_tilde the residual of D on the controls' Q columns; the control
     coefficients come from the triangular solve given the slope. Without
     controls D_tilde is D itself, so an exact fit leaves exactly zero residuals.
+    ``X`` is ``data.X``, from a caller that builds it once for ``_gram`` too.
     """
     Zs, e = _pow2_scaled(np.column_stack([data.controls, data.D]))
     n, k = Zs.shape
@@ -135,7 +136,7 @@ def _fit(data: RegressionData):
     theta = float(D_tilde @ data.Y) / ssd
     gamma = np.linalg.solve(r[:-1, :-1], Qw.T @ data.Y - r[:-1, -1] * np.ldexp(theta, e[-1]))
     beta = np.concatenate([[theta], np.ldexp(gamma, -e[:-1])])  # in the order of data.X
-    u_hat = data.Y - data.X @ beta
+    u_hat = data.Y - (data.X if X is None else X) @ beta
     Ys, ey = _pow2_scaled(data.Y)  # on scaled columns X'Y cannot overflow
     ref = np.linalg.norm(Zs.T @ Ys)
     if not (ref < np.inf and (ref == 0 or np.linalg.norm(Zs.T @ np.ldexp(u_hat, -ey)) <= 1e-8 * ref)):
@@ -229,8 +230,8 @@ def intercept_only_slope(D: np.ndarray, Y: np.ndarray, index: NeighborhoodIndex)
 
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Full sandwich inference treating the regressors as random."""
-    beta, D_tilde, _, u_hat = _fit(data)
-    Xs, e, S_inv, rank_lambda = _gram(data.X)
+    beta, D_tilde, _, u_hat = _fit(data, X := data.X)
+    Xs, e, S_inv, rank_lambda = _gram(X)
     V_hat = _sandwich(S_inv, _pair_sum(Xs * u_hat[:, None], index), e)
     return _finish_scalar(
         beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat, rank_lambda=rank_lambda
@@ -244,9 +245,11 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
     asserts the numeric identity between the (1,1) element of the full
     sandwich and the residualized variance formula.
     """
-    beta, D_tilde, ssd, u_hat = _fit(data)
-    Xs, e, S_inv, rank_lambda = _gram(data.X)
-    scores = np.vstack([u_hat * D_tilde, Xs.T * u_hat])  # one score per row
+    beta, D_tilde, ssd, u_hat = _fit(data, X := data.X)
+    Xs, e, S_inv, rank_lambda = _gram(X)
+    scores = np.empty((Xs.shape[1] + 1, u_hat.size))  # one score per row
+    np.multiply(u_hat, D_tilde, out=scores[0])
+    np.multiply(Xs.T, u_hat, out=scores[1:])
     Q = _pair_sum(scores.T, index)  # a view whose columns cluster_sums reads without a copy
     pair_sum = float(Q[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)

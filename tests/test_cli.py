@@ -1,21 +1,26 @@
 import argparse
+import bz2
 import csv
+import gzip
 import io
 import json
+import lzma
 import os
 import subprocess
 import sys
+import urllib.request
+from functools import partial
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mwclust import cli
 from mwclust.cli import DataError, _floats, _read_clustered, _read_table, main
-from mwclust.clusters import NeighborhoodIndex
+from mwclust.clusters import ClusterScheme, NeighborhoodIndex
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "additive_re_m10.csv"
@@ -118,6 +123,28 @@ def without_c_pass(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
         m.setattr(cli, "_read_clean", lambda *a: None)
         return fn(*args)
+
+
+def reference_needs_csv(path):
+    """The whole-file scan that the streaming ``_needs_csv`` must match."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    step = csv.field_size_limit() // 2 + 1
+    return any(c in data for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")) or any(
+        data.find(b"\n", k, k + step) < 0 for k in range(0, len(data) - step + 1, step)
+    )
+
+
+# labels a quote-free CSV holds as one field: no delimiter, quote, line break, NUL or 0x1C-0x1F
+LABEL = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\x00\x1c\x1d\x1e\x1f'),
+    min_size=1, max_size=4,
+)
+LABEL_LISTS = st.one_of(
+    st.lists(LABEL, min_size=1, max_size=30),
+    st.tuples(LABEL, st.integers(1, 30)).map(lambda t: [t[0]] * t[1]),  # single-valued
+    st.lists(LABEL, min_size=1, max_size=30, unique=True),  # all distinct
+)
 
 
 def csv_text(header, records, lineterminator):
@@ -653,6 +680,79 @@ class TestIngest:
         assert (code, err, len(calls)) == (0, "", reads)
         check_report(out)
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        limit=st.sampled_from([2, 3, 6, 16]),
+        body=st.binary(max_size=80) | st.lists(st.sampled_from([b"x", b"\n"]), max_size=80).map(b"".join),
+        edges=st.lists(st.tuples(st.integers(0, 40), st.integers(-1, 1)), max_size=12),
+    )
+    def test_needs_csv_streams_the_whole_file_decision(self, tmp_path, limit, body, edges):
+        # blocks of limit // 2 + 1 bytes, with newlines put just before, at and just after block edges
+        old = csv.field_size_limit(limit)
+        try:
+            step = csv.field_size_limit() // 2 + 1
+            data = bytearray(body)
+            for block, offset in edges:
+                if 0 <= block * step + offset < len(data):
+                    data[block * step + offset] = ord("\n")
+            p = tmp_path / "bytes.csv"
+            p.write_bytes(bytes(data))
+            assert cli._needs_csv(str(p)) == reference_needs_csv(p)
+        finally:
+            csv.field_size_limit(old)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(labels=LABEL_LISTS.flatmap(lambda g: st.tuples(
+        st.just(g), st.lists(LABEL, min_size=len(g), max_size=len(g)) | st.just(g[::-1])
+    )))
+    @example(labels=(["01", "1", " a ", "a", "é", "日本", " a ", "1"], ["x"] * 8))
+    @example(labels=(["1.0", "1", "nan", "-0", "0", "1e3"], ["z", "Z", "ż", "z ", " z", "zz"]))
+    def test_labels_coded_in_the_parse_match_np_unique(self, tmp_path, labels):
+        p = tmp_path / "labels.csv"
+        p.write_text("y,g,h\n" + "".join(f"1,{a},{b}\n" for a, b in zip(*labels)), encoding="utf-8", newline="")
+        clean = cli._read_clean(str(p), ["y"], ["g", "h"], "")
+        assert clean is not None
+        scheme = clean[2]
+        ref = ClusterScheme.from_labels(*labels, dims=("g", "h"))
+        assert scheme.dims == ref.dims and scheme.label_values == ref.label_values
+        for raw, ids, ref_ids, values in zip(labels, scheme.labels, ref.labels, scheme.label_values):
+            uniq, inv = np.unique(raw, return_inverse=True)
+            assert ids.dtype == np.int64 and ids.tobytes() == ref_ids.tobytes() == inv.astype(np.int64).tobytes()
+            assert values == tuple(uniq.tolist())
+
+    @pytest.mark.parametrize("stored", ["compressed", "plain"])
+    @pytest.mark.parametrize(
+        "suffix, compress",
+        [(".gz", partial(gzip.compress, mtime=0)), (".bz2", bz2.compress), (".xz", lzma.compress),
+         (".lzma", partial(lzma.compress, format=lzma.FORMAT_ALONE))],
+    )
+    @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d", "--controls", "x"], ["diagnose"]])
+    def test_compressed_suffix_is_read_as_stored(self, tmp_path, monkeypatch, capsys, stored, suffix, compress, command):
+        # numpy would open a path with this suffix through a decompressor, which fails on a plain file
+        # (lzma with an error that is no OSError); the csv route reads the bytes as they are stored
+        text = self.CLEAN.encode()
+        p = tmp_path / f"data.csv{suffix}"
+        p.write_bytes(compress(text) if stored == "compressed" else text)
+        argv = [*command, "--data", str(p), "--cluster", "g,h", "--weight", "w"]
+        got = run_cli(argv, capsys)
+        assert got == without_c_pass(monkeypatch, run_cli, argv, capsys)
+        if stored == "compressed":
+            assert got[:2] == (2, "") and got[2].startswith("error: ")
+        else:
+            assert got[0] == 0
+
+    @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d", "--controls", "x"], ["diagnose"]])
+    def test_url_shaped_path_is_never_fetched(self, tmp_path, monkeypatch, capsys, command):
+        # numpy fetches a path that reads as a URL, even when a local file has that name
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: pytest.fail("urlopen called"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "example.org").mkdir(parents=True)
+        (tmp_path / "http:" / "example.org" / "data.csv").write_text(self.CLEAN, encoding="utf-8")
+        argv = [*command, "--data", "http://example.org/data.csv", "--cluster", "g,h", "--weight", "w"]
+        got = run_cli(argv, capsys)
+        assert got == without_c_pass(monkeypatch, run_cli, argv, capsys)
+        assert got[0] == 0
+
 
 def inclusion_exclusion_scale(X, Y, g, h):
     """Diagonal of the one-way sandwiches on g, on h and on their cells, added.
@@ -918,6 +1018,14 @@ class TestStudySettings:
         for command, cfg in (("simulate", COVERAGE), ("bound", MC_BOUND)):
             path = write_config(tmp_path, {**cfg, "dgp": {**cfg["dgp"], key: value}})
             assert_config_error(*run_cli([command, "--config", path], capsys), "invalid dgp spec", key)
+
+
+    @pytest.mark.parametrize("value", ["no", 1, None, float("nan")], ids=["no", "1", "null", "NaN"])
+    @pytest.mark.parametrize("key", ["hetero_alpha", "hetero_gamma", "hetero_eps", "triple_one_way"])
+    def test_dgp_flag_must_be_true_or_false(self, tmp_path, capsys, key, value):
+        for command, cfg in (("simulate", COVERAGE), ("bound", MC_BOUND), ("diagnose", ORACLE_DIAGNOSE)):
+            path = write_config(tmp_path, {**cfg, "dgp": {**cfg["dgp"], key: value}})
+            assert_config_error(*run_cli([command, "--config", path], capsys), f"dgp.{key}", repr(value))
 
 
 ANALYTIC_BOUND = {**MC_BOUND, "method": "analytic"}

@@ -32,6 +32,12 @@ class TestDgpSpec:
         with pytest.raises(ValueError):
             DgpSpec(variant="interactive-chaos", cell_size=2)
 
+    @pytest.mark.parametrize("value", ["no", 1, None, float("nan")])
+    @pytest.mark.parametrize("key", ["hetero_alpha", "hetero_gamma", "hetero_eps", "triple_one_way"])
+    def test_flags_must_be_bool(self, key, value):
+        with pytest.raises(ValueError, match=f"^dgp.{key} must be true or false"):
+            DgpSpec(variant="additive-re", **{key: value})
+
 
 def reference_cov(spec: DgpSpec) -> np.ndarray:
     """The dense covariance builders that the low-rank factor replaced."""

@@ -92,8 +92,14 @@ class TestRunCoverage:
             variant="additive-re", M=2, sigma_alpha=0.0, sigma_gamma=0.0, sigma_eps=0.0
         )
         rep = run_coverage(spec, target="mean", reps=10, seed=0)
-        assert rep.coverage_95 is None
+        assert rep.coverage_95 is None and rep.coverage_mc_se is None
         assert rep.warnings
+
+    @pytest.mark.parametrize("target", ["mean", "regression-theta"])
+    def test_coverage_mc_se_is_the_binomial_standard_error(self, target):
+        rep = run_coverage(DgpSpec(variant="additive-re", M=4), target=target, reps=50, seed=3)
+        p = rep.coverage_95
+        assert 0 < p < 1 and rep.coverage_mc_se == math.sqrt(p * (1 - p) / 50)
 
     def test_unknown_target(self):
         with pytest.raises(ValueError):
@@ -313,6 +319,7 @@ def reference_coverage_mean(spec, reps, seed):
         elif abs(float(mean) - float(oracle.mean.mean())) <= harness.Z_CRIT_95 * math.sqrt(q) / n:
             covered += 1
     report.coverage_95 = covered / reps
+    report.coverage_mc_se = math.sqrt(report.coverage_95 * (1 - report.coverage_95) / reps)
     report.ks_pivot = ks_statistic(pivots)
     report.mean_var_ratio = float(ratios.mean())
     report.var_ratio_sd = float(ratios.std(ddof=1))

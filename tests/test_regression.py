@@ -411,6 +411,15 @@ class TestThetaInference:
         expect = float((u**2 * D**2).sum() / (D @ D) ** 2)
         assert res.sigma_sq == pytest.approx(expect, rel=1e-12)
 
+    def test_builds_the_design_matrix_once(self, monkeypatch):
+        # one n-by-k design matrix per fit, shared by the QR's residuals and the sandwich's bread
+        data = random_regression(np.random.default_rng(4))
+        calls = []
+        X = RegressionData.X
+        monkeypatch.setattr(RegressionData, "X", property(lambda self: calls.append(1) or X.fget(self)))
+        theta_inference(data, build_index(data.scheme))
+        assert len(calls) == 1
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_carries_score_pair_sum_and_rank_lambda(self, seed):
