@@ -279,10 +279,10 @@ def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: 
     ``np.loadtxt`` reads the file in chunks and, past the header, splits the
     lines of a file that ``_needs_csv`` passes into the fields ``csv.reader``
     reads; a C-level converter codes each label in order of first appearance.
-    Any error or warning, a short row, an empty label or one that ``_ranked``
-    declines, a weight that is not positive or a value that is not finite
-    before or after weighting returns None: the ``csv`` path then reads the
-    file again and names the first bad cell.
+    Any error or warning, a short row, an empty label, a weight that is not
+    positive or a value that is not finite before or after weighting returns
+    None: the ``csv`` path then reads the file again and names the first bad
+    cell.
     """
     numeric = list(dict.fromkeys([*columns, *([weight] if weight else [])]))
     labels = list(dict.fromkeys(cluster_cols))
@@ -319,10 +319,9 @@ def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: 
     values = {c: cells[c] * root if weight else cells[c].copy() for c in columns}
     if not all(np.isfinite(v).all() for v in values.values()):
         return None
-    ranked = {c: None if "" in first[c] else _ranked(cells[c], list(first[c])) for c in labels}
-    if None in ranked.values():
+    if any("" in first[c] for c in labels):
         return None
-    ids, uniq = zip(*(ranked[c] for c in cluster_cols))
+    ids, uniq = zip(*(_ranked(cells[c], list(first[c])) for c in cluster_cols))  # every key is a str
     return w, values, ClusterScheme(dims=tuple(cluster_cols), labels=ids, label_values=uniq)
 
 
@@ -369,9 +368,9 @@ def cmd_estimate(args) -> int:
         factor = dof_factor(index)
         sigma_sq *= factor
         V = V * factor
-    if args.psd_project:
+    if args.psd_project:  # one projection: sigma_sq is the (1,1) entry of the clipped V
         V = psd_clip(V)
-        sigma_sq = max(sigma_sq, 0.0)
+        sigma_sq = float(V[0, 0])
     fin = _finish_scalar(res.beta_hat, res.theta_hat, sigma_sq, res.residuals, res.D_tilde, V)
     diag = _data_diagnostics(index, res, warnings)
     results = {

@@ -81,11 +81,12 @@ class ClusterScheme:
 def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
     """Dense int64 ids and the sorted distinct values of one label vector.
 
-    The result is that of ``np.unique``. A list is coded in order of first
-    appearance and then ranked by ``_ranked``; lists that it declines go
-    through ``np.unique``.
+    The result is that of ``np.unique`` on the labels as Python objects, so
+    labels that differ only by trailing NULs stay apart. A list or tuple is
+    coded in order of first appearance and then ranked by ``_ranked``; those
+    that it declines go through ``np.unique``.
     """
-    if isinstance(raw, list):
+    if isinstance(raw, (list, tuple)):
         first = defaultdict(count().__next__)
         try:
             codes = np.fromiter(map(first.__getitem__, raw), np.int64, count=len(raw))
@@ -104,9 +105,9 @@ def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
 def _ranked(codes: np.ndarray, keys: list) -> tuple[np.ndarray, tuple] | None:
     """``_canonical``'s result from codes in order of first appearance, ``keys[c]`` being code c's label.
 
-    None unless every key is a ``str`` without a trailing NUL (numpy's fixed-width strings drop it).
+    None unless every key is a ``str``, whose code-point order is that of ``np.unique``.
     """
-    if not all(type(v) is str and not v.endswith("\0") for v in keys):
+    if not all(type(v) is str for v in keys):
         return None
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return np.argsort(order)[codes], tuple(keys[k] for k in order)

@@ -1,8 +1,9 @@
 """Simulation designs with known ground truth.
 
-Each variant ships an oracle carrying exact means, the exact variance of
-the weighted sum, the true pairwise dependence as a pair of cluster labels,
-and (where the additive structure allows) closed-form third moments.
+Each variant is one table of cluster-level components, from which ``draw``
+and the oracle read: exact means, the exact variance of the weighted sum,
+the true pairwise dependence as a pair of cluster labels, closed-form third
+moments (not for the product design) and a low-rank covariance factor.
 Replication streams are counter-based so parallel generation is
 replication-stable; a study draws every stream from one ``Streams``
 generator whose counter it resets.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -88,18 +89,15 @@ class MomentOracle:
     scheme: ClusterScheme
     gaussian: bool
     dependent: ClusterScheme  # true dependence: i, j dependent iff they share a label on either dimension
-    # entry i: closed-form sum of E[X_i X_j X_k] over j, k in i's dependency
-    # neighborhood (the triple enumeration collapsed by shared-component
-    # counting); additive designs only
+    # entry i: closed-form sum of E[X_i X_j X_k] over j, k in i's dependency neighborhood
+    # (the triple enumeration collapsed by shared-component counting); None for a product
     third_inner_sum: np.ndarray | None = None
-    _factor_builder: callable = None
-    _factor: tuple = field(default=None, repr=False)
+    _design: _Layout | None = field(default=None, repr=False)
 
     def cov_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(F, e)`` with covariance ``F @ F.T + diag(e)``; F has O(M) columns (built lazily)."""
-        if self._factor is None:
-            self._factor = self._factor_builder()
-        return self._factor
+        """``(F, e)`` with covariance ``F @ F.T + diag(e)``: a column per label of each component."""
+        F = (np.eye(c.scale.size)[c.labels] * c.scale * c.loads[:, None] for c in self._design.components)
+        return np.hstack([np.empty((self.scheme.n, 0)), *F]), self._design.row_var
 
 
 def _schedule(base: float, count: int, hetero: bool) -> np.ndarray:
@@ -151,25 +149,53 @@ def _draw(rng: np.random.Generator, dist: str, size: int) -> np.ndarray:
     return rng.integers(0, 2, size=size) * 2.0 - 1.0
 
 
+class _Component(NamedTuple):
+    """A cluster-level effect: one unit-variance draw of ``dist`` per label, from stream ``comp``."""
+
+    comp: int
+    dist: str
+    labels: np.ndarray  # label of each observation
+    scale: np.ndarray  # scale of each label
+    load: np.ndarray | None  # loading of each observation; None for all ones
+
+    @property
+    def loads(self) -> np.ndarray:
+        return np.ones(self.labels.size) if self.load is None else self.load
+
+    def linked(self) -> np.ndarray:
+        """Labels shared by exactly the observations it makes dependent: dense, in order of first appearance."""
+        key = np.where(self.loads != 0, self.labels, self.scale.size + np.arange(self.labels.size))
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return np.argsort(np.argsort(first))[inverse]
+
+
 class _Layout(NamedTuple):
-    """The seed-independent arrays of a design; every array is read-only."""
+    """A design as a table of components; every array is read-only.
+
+    Observation i is ``mean[i]``, plus each component at i, plus ``noise[i]`` times a draw of its own;
+    in a product design, it is the product of its factors instead.
+    """
 
     g: np.ndarray  # G cluster of each observation
     h: np.ndarray  # H cluster of each observation
-    mean: np.ndarray
-    sa: np.ndarray | None = None  # grid: scale of alpha per G cluster
-    sg: np.ndarray | None = None  # grid: scale of gamma per H cluster
-    se: np.ndarray | None = None  # grid: scale of eps per observation
-    block: np.ndarray | None = None  # triple: block of each observation
-    load_a: np.ndarray | None = None  # triple: loading of the first block component
-    load_c: np.ndarray | None = None  # triple: loading of the second block component
+    mean: np.ndarray | None  # None for a centered design
+    components: tuple[_Component, ...]
+    noise: np.ndarray | None  # scale of the idiosyncratic component of each observation
+    factors: tuple[_Component, ...] = ()  # a product design: observation i is the product of these
+
+    @property
+    def row_var(self) -> np.ndarray:
+        """The variance of each observation that no other one shares: its noise, or its product's."""
+        if self.factors:
+            return math.prod(c.scale[c.labels] ** 2 for c in self.factors)
+        return np.zeros(self.g.size) if self.noise is None else self.noise**2
 
 
 @lru_cache(maxsize=64)
 def _layout(spec: DgpSpec) -> _Layout:
-    """Labels, scale schedules, triple block and mean of a design, built once per spec.
+    """The component table of a design, built once per spec.
 
-    ``structure`` hands these arrays out (``scheme.labels``, ``oracle.mean``)
+    ``structure`` hands its arrays out (``scheme.labels``, ``oracle.mean``)
     and ``draw`` reads them on every replication, so they are shared and
     marked read-only.
     """
@@ -182,20 +208,24 @@ def _layout(spec: DgpSpec) -> _Layout:
         else:
             g = 2 * block + np.tile(np.array([0, 0, 1], dtype=np.int64), M)
             h = 2 * block + np.tile(np.array([0, 1, 1], dtype=np.int64), M)
-        layout = _Layout(
-            g, h, np.tile([1.0, -1.0, 1.0], M), block=block,
-            load_a=np.tile([1.0, 1.0, 0.0], M), load_c=np.tile([0.0, 1.0, 1.0], M),
-        )
+        unit = np.ones(M)  # block covariance [[1,1,0],[1,2,1],[0,1,1]]
+        layout = _Layout(g, h, np.tile([1.0, -1.0, 1.0], M), components=(
+            _Component(COMP_ALPHA, spec.dist_alpha, block, unit, np.tile([1.0, 1.0, 0.0], M)),
+            _Component(COMP_GAMMA, spec.dist_gamma, block, unit, np.tile([0.0, 1.0, 1.0], M)),
+        ), noise=None)
     else:
         g = np.repeat(np.arange(M, dtype=np.int64), M * cell)
         h = np.tile(np.repeat(np.arange(M, dtype=np.int64), cell), M)
-        layout = _Layout(
-            g, h, np.zeros(g.size),
-            sa=_schedule(spec.sigma_alpha, M, spec.hetero_alpha),
-            sg=_schedule(spec.sigma_gamma, M, spec.hetero_gamma),
-            se=_schedule(spec.sigma_eps, g.size, spec.hetero_eps),
+        effects = (
+            _Component(COMP_ALPHA, spec.dist_alpha, g, _schedule(spec.sigma_alpha, M, spec.hetero_alpha), None),
+            _Component(COMP_GAMMA, spec.dist_gamma, h, _schedule(spec.sigma_gamma, M, spec.hetero_gamma), None),
         )
-    for arr in layout:
+        layout = _Layout(g, h, None, effects, _schedule(spec.sigma_eps, g.size, spec.hetero_eps))
+        if spec.variant == "iid-conservative":
+            layout = layout._replace(components=())
+        if spec.variant == "interactive-chaos":  # uncorrelated but within-row/column dependent
+            layout = layout._replace(components=(), noise=None, factors=effects)
+    for arr in (*layout[:3], layout.noise, *(a for c in (*layout.components, *layout.factors) for a in c[2:])):
         if arr is not None:
             arr.flags.writeable = False
     return layout
@@ -210,77 +240,25 @@ def structure(spec: DgpSpec):
     """
     lay = _layout(spec)
     scheme = ClusterScheme(dims=("G", "H"), labels=(lay.g, lay.h))
-    if spec.variant == "nonzero-mean-triple":
-        return scheme, _triple_oracle(spec, scheme, lay)
-
-    M, n = spec.M, scheme.n
-    g, h, sa, sg, se = lay.g, lay.h, lay.sa, lay.sg, lay.se
-    if spec.variant == "additive-re":
-        sizes_g = np.bincount(g, minlength=M).astype(float)
-        sizes_h = np.bincount(h, minlength=M).astype(float)
-        true_Q = float(
-            (sizes_g**2 * sa**2).sum() + (sizes_h**2 * sg**2).sum() + (se**2).sum()
-        )
-        m3a = _M3[spec.dist_alpha] * sa**3
-        m3g = _M3[spec.dist_gamma] * sg**3
-        m3e = _M3[spec.dist_eps] * se**3
-        gaussian = {spec.dist_alpha, spec.dist_gamma, spec.dist_eps} == {"gaussian"}
-        oracle = MomentOracle(
-            mean=lay.mean,
-            true_Q=true_Q,
-            scheme=scheme,
-            gaussian=gaussian,
-            dependent=scheme,
-            third_inner_sum=m3a[g] * sizes_g[g] ** 2 + m3g[h] * sizes_h[h] ** 2 + m3e,
-            # one column per random effect: F = [Z_g diag(sa) | Z_h diag(sg)]
-            _factor_builder=lambda: (np.hstack([np.eye(M)[g] * sa, np.eye(M)[h] * sg]), se**2),
-        )
-        return scheme, oracle
-
-    if spec.variant == "iid-conservative":
-        own = np.arange(n)  # every observation its own cluster: self-only dependence
-        oracle = MomentOracle(
-            mean=lay.mean,
-            true_Q=float((se**2).sum()),
-            scheme=scheme,
-            gaussian=spec.dist_eps == "gaussian",
-            dependent=ClusterScheme(dims=scheme.dims, labels=(own, own)),
-            third_inner_sum=_M3[spec.dist_eps] * se**3,
-            _factor_builder=lambda: (np.empty((n, 0)), se**2),
-        )
-        return scheme, oracle
-
-    # interactive-chaos: uncorrelated but within-row/column dependent
-    var_i = sa[g] ** 2 * sg[h] ** 2
-    oracle = MomentOracle(
-        mean=lay.mean,
-        true_Q=float(var_i.sum()),
-        scheme=scheme,
-        gaussian=False,  # products of normals are not normal
-        dependent=scheme,
-        _factor_builder=lambda: (np.empty((n, 0)), var_i),
+    # without a shared component every observation is its own cluster: self-only dependence
+    linked = tuple(c.linked() for c in (*lay.components, *lay.factors)) or (np.arange(scheme.n),) * 2
+    sums = [np.bincount(c.labels, c.loads, c.scale.size) for c in lay.components]  # per label, of its loadings
+    true_Q = sum((s**2 * c.scale**2).sum() for s, c in zip(sums, lay.components)) + lay.row_var.sum()
+    # a component adds m3 scale^3 load_i load_j load_k to E[X_i X_j X_k] for j, k of i's label
+    third = None if lay.factors else sum(
+        (_M3[c.dist] * c.scale**3)[c.labels] * s[c.labels] ** 2 * c.loads for s, c in zip(sums, lay.components)
     )
-    return scheme, oracle
-
-
-def _triple_oracle(spec: DgpSpec, scheme: ClusterScheme, lay: _Layout) -> MomentOracle:
-    blocks = spec.M
-    block, loadings = lay.block, (lay.load_a, lay.load_c)
-    # actual dependence is a shared block component, whatever the scheme; the two-way
-    # labels pair the middle member with the first (on G) and the last (on H)
-    two_way = _layout(replace(spec, triple_one_way=False))
-    gaussian = {spec.dist_alpha, spec.dist_gamma} == {"gaussian"}
-    return MomentOracle(
-        mean=lay.mean,
-        true_Q=8.0 * blocks,
+    if lay.noise is not None:
+        third = third + _M3[spec.dist_eps] * lay.noise**3
+    dists = [c.dist for c in lay.components] + ([spec.dist_eps] if lay.noise is not None else [])
+    return scheme, MomentOracle(
+        mean=np.broadcast_to(0.0, scheme.n) if lay.mean is None else lay.mean,  # read-only either way
+        true_Q=float(true_Q),
         scheme=scheme,
-        gaussian=gaussian,
-        dependent=ClusterScheme(dims=scheme.dims, labels=(two_way.g, two_way.h)),
-        # block covariance [[1,1,0],[1,2,1],[0,1,1]]: one column per block component
-        _factor_builder=lambda: (
-            np.hstack([np.eye(blocks)[block] * load[:, None] for load in loadings]),
-            np.zeros(scheme.n),
-        ),
+        gaussian=not lay.factors and all(d == "gaussian" for d in dists),  # products of normals are not normal
+        dependent=ClusterScheme(dims=scheme.dims, labels=linked),
+        third_inner_sum=third,
+        _design=lay,
     )
 
 
@@ -292,20 +270,21 @@ def draw(spec: DgpSpec, rep: int = 0, streams: Streams | None = None) -> np.ndar
     """
     stream = _streams_for(spec.seed, streams)
     lay = _layout(spec)
-    if spec.variant == "nonzero-mean-triple":
-        a = _draw(stream(rep, COMP_ALPHA), spec.dist_alpha, spec.M)
-        c = _draw(stream(rep, COMP_GAMMA), spec.dist_gamma, spec.M)
-        return lay.mean + a[lay.block] * lay.load_a + c[lay.block] * lay.load_c
 
-    n = lay.g.size
-    if spec.variant == "iid-conservative":
-        return lay.se * _draw(stream(rep, COMP_EPS), spec.dist_eps, n)
-    alpha = lay.sa * _draw(stream(rep, COMP_ALPHA), spec.dist_alpha, spec.M)
-    gamma = lay.sg * _draw(stream(rep, COMP_GAMMA), spec.dist_gamma, spec.M)
-    if spec.variant == "interactive-chaos":
-        return alpha[lay.g] * gamma[lay.h]
-    eps = lay.se * _draw(stream(rep, COMP_EPS), spec.dist_eps, n)
-    return alpha[lay.g] + gamma[lay.h] + eps
+    def effect(comp, dist, labels, scale, load):
+        x = (scale * _draw(stream(rep, comp), dist, scale.size))[labels]
+        return x if load is None else x * load
+
+    if lay.factors:
+        a, b = (effect(*c) for c in lay.factors)
+        return a * b
+    terms = [effect(*c) for c in lay.components]
+    if lay.noise is not None:
+        terms.append(lay.noise * _draw(stream(rep, COMP_EPS), spec.dist_eps, lay.g.size))
+    x = terms[0] if lay.mean is None else lay.mean + terms[0]
+    for term in terms[1:]:
+        x += term
+    return x
 
 
 def true_bias_term(oracle: MomentOracle) -> float:

@@ -61,7 +61,6 @@ def assumption_ratios(
     weights,
     Q_reference: float,
     dependent=None,
-    warn_threshold: float = L_WARN_DEFAULT,
 ) -> DiagnosticsReport:
     """Regularity-ratio fragment of the diagnostics report.
 
@@ -88,9 +87,9 @@ def assumption_ratios(
     ratio_23 = {dim: total / Q_reference for dim, total in pair_sums.items()}
     warnings = []
     for dim, val in L.items():
-        if val > warn_threshold:
+        if val > L_WARN_DEFAULT:
             warnings.append(
-                f"leverage on dimension {dim} is {val:.4g}, above threshold {warn_threshold:.4g}"
+                f"leverage on dimension {dim} is {val:.4g}, above threshold {L_WARN_DEFAULT:.4g}"
             )
     if dependent is None:
         warnings.append(

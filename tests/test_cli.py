@@ -5,6 +5,7 @@ import gzip
 import io
 import json
 import lzma
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from mwclust import cli
 from mwclust.cli import DataError, _floats, _read_clustered, _read_table, main
 from mwclust.clusters import ClusterScheme, NeighborhoodIndex
+from mwclust.regression import Z_CRIT_95
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "additive_re_m10.csv"
@@ -190,6 +192,26 @@ class TestEstimate:
         )
         assert code == 0
         assert calls["qr"] == 1 and calls["cluster_sums"] <= 3
+
+    def test_psd_project_takes_sigma_from_the_projected_matrix(self, tmp_path, capsys):
+        # a design whose estimated V is indefinite with a positive (1,1) entry
+        rng = np.random.default_rng(4)
+        n = int(rng.integers(6, 20))
+        g, h = rng.integers(0, int(rng.integers(2, 5)), n), rng.integers(0, int(rng.integers(2, 8)), n)
+        y, d = np.round(rng.normal(size=n), 2), np.round(rng.normal(size=n), 2)
+        p = tmp_path / "indefinite.csv"
+        cells = zip(*(a.tolist() for a in (y, d, g, h)))
+        p.write_text("y,d,g,h\n" + "".join(f"{a!r},{b!r},{c},{e}\n" for a, b, c, e in cells))
+        argv = ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
+        plain = check_report(run_cli(argv, capsys)[1])["results"]
+        code, out, _ = run_cli([*argv, "--psd-project"], capsys)
+        res = check_report(out)["results"]
+        assert code == 0 and plain["sigma_sq"] > 0 and not res["negative_variance"]
+        # clipping the negative eigenvalue adds |lambda| v_1^2 to the (1,1) entry, far above rounding
+        assert res["sigma_sq"] == res["V_hat_diag"][0] > plain["sigma_sq"] * (1 + 1e-6)
+        sigma = math.sqrt(res["sigma_sq"])
+        assert res["sigma_hat"] == sigma and res["t_stat"] == res["theta_hat"] / sigma
+        assert res["ci_95"] == [res["theta_hat"] - Z_CRIT_95 * sigma, res["theta_hat"] + Z_CRIT_95 * sigma]
 
     def test_missing_column_is_data_error(self, capsys):
         code, _, err = run_cli(
@@ -643,10 +665,12 @@ class TestIngest:
             ([("\n2,3.25,", "\n\n\n2,3.25,")], 0),
             ([("m2", "m2\x00")], 0),
             ([("\n7.5,", "\n7.5\n")], 2),
+            ([(",f2,m2,", ",f2,m2\x00,")], 0),  # m2 and m2\0 are two clusters
         ],
         ids=["clean", "hash-label", "hash-number", "quoted-crlf", "bare-cr", "crlf", "oversized-ignored-field",
              "underscore", "separator-0x1c", "empty-label", "weighted-overflow", "zero-weight",
-             "header-only", "whitespace-row", "blank-lines", "nul-label", "short-row"],
+             "header-only", "whitespace-row", "blank-lines", "nul-label", "short-row",
+             "nul-suffix-label"],
     )
     @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d", "--controls", "x"], ["diagnose"]])
     def test_c_pass_hazards_match_csv_path(self, tmp_path, monkeypatch, capsys, edits, code, command):
@@ -660,6 +684,22 @@ class TestIngest:
         assert got == without_c_pass(monkeypatch, run_cli, argv, capsys)
         if command[0] == "estimate":
             assert got[0] == code
+
+    def test_labels_differing_by_trailing_nul_are_distinct_clusters(self, tmp_path, monkeypatch, capsys):
+        # G labels a, a\0, b and c; the second file renames a\0 to a2, which keeps every cluster
+        rng = np.random.default_rng(5)
+        rows = [(rng.normal(), rng.normal(), k % 10 == 1, "abc"[k % 10 % 3], k % 4) for k in range(40)]
+        results = []
+        for name in ("a\0", "a2"):
+            p = tmp_path / f"{len(results)}.csv"
+            text = "".join(f"{y!r},{d!r},{name if nul else g},{h}\n" for y, d, nul, g, h in rows)
+            p.write_text("y,d,g,h\n" + text, encoding="utf-8", newline="")
+            argv = ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
+            for route in (run_cli(argv, capsys), without_c_pass(monkeypatch, run_cli, argv, capsys)):
+                code, out, err = route
+                assert (code, err) == (0, "")
+                results.append(check_report(out)["results"])
+        assert all(res == results[0] for res in results)
 
     @pytest.mark.parametrize(
         "edit, reads",

@@ -41,10 +41,17 @@ class TestClusterScheme:
     def test_string_labels_match_np_unique(self, labels):
         scheme = ClusterScheme.from_labels(*labels)
         for raw, ids, values in zip(labels, scheme.labels, scheme.label_values):
-            uniq, inv = np.unique(raw, return_inverse=True)
+            # as Python objects: a fixed-width string array would drop trailing NULs
+            uniq, inv = np.unique(np.array(raw, dtype=object), return_inverse=True)
             assert ids.dtype == np.int64
             np.testing.assert_array_equal(ids, inv)
             assert values == tuple(uniq.tolist())
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_labels_differing_by_trailing_nul_are_distinct(self, kind):
+        scheme = ClusterScheme.from_labels(kind(["a", "a\0", "b"]), ["x", "y", "z"])
+        assert scheme.labels[0].tolist() == [0, 1, 2]
+        assert scheme.label_values[0] == ("a", "a\0", "b")
 
     def test_drops_empty_label_values(self):
         scheme = ClusterScheme.from_labels([0, 5, 5], [1, 1, 2])

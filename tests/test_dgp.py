@@ -154,13 +154,23 @@ def reference_triple_dependent(M: int) -> np.ndarray:
 
 
 def reference_third_moment(spec: DgpSpec):
-    """E[X_i X_j X_k] of the additive-re and iid-conservative designs, one triple at a time."""
+    """E[X_i X_j X_k] of every design with additive components, one triple at a time."""
     scheme, _ = structure(spec)
+    m3 = {"gaussian": 0.0, "centered-exponential": 2.0, "rademacher": 0.0}
+    if spec.variant == "nonzero-mean-triple":
+        block = np.repeat(np.arange(spec.M), 3)
+        load_a, load_c = np.tile([1.0, 1.0, 0.0], spec.M), np.tile([0.0, 1.0, 1.0], spec.M)
+
+        def triple_moment(i, j, k):
+            if not block[i] == block[j] == block[k]:
+                return 0.0
+            return m3[spec.dist_alpha] * load_a[[i, j, k]].prod() + m3[spec.dist_gamma] * load_c[[i, j, k]].prod()
+
+        return triple_moment
     g, h = scheme.labels
     sa = reference_schedule(spec.sigma_alpha, spec.M, spec.hetero_alpha)
     sg = reference_schedule(spec.sigma_gamma, spec.M, spec.hetero_gamma)
     se = reference_schedule(spec.sigma_eps, scheme.n, spec.hetero_eps)
-    m3 = {"gaussian": 0.0, "centered-exponential": 2.0, "rademacher": 0.0}
     additive = spec.variant == "additive-re"
 
     def third_moment(i, j, k):
@@ -174,6 +184,42 @@ def reference_third_moment(spec: DgpSpec):
         return val
 
     return third_moment
+
+
+def reference_moments(spec: DgpSpec):
+    """``(true_Q, third_inner_sum, (F, e), gaussian, dependent labels)`` from each variant's own closed form.
+
+    These are the per-variant oracles that the component table replaced; the
+    triple's third-moment sum was not given (None).
+    """
+    M = spec.M
+    m3 = {"gaussian": 0.0, "centered-exponential": 2.0, "rademacher": 0.0}
+    if spec.variant == "nonzero-mean-triple":
+        block = np.repeat(np.arange(M), 3)
+        loads = (np.tile([1.0, 1.0, 0.0], M), np.tile([0.0, 1.0, 1.0], M))
+        F = np.hstack([np.eye(M)[block] * load[:, None] for load in loads])
+        gaussian = {spec.dist_alpha, spec.dist_gamma} == {"gaussian"}
+        return 8.0 * M, None, (F, np.zeros(3 * M)), gaussian, reference_labels(replace(spec, triple_one_way=False))
+    g, h = reference_labels(spec)
+    n = g.size
+    sa = reference_schedule(spec.sigma_alpha, M, spec.hetero_alpha)
+    sg = reference_schedule(spec.sigma_gamma, M, spec.hetero_gamma)
+    se = reference_schedule(spec.sigma_eps, n, spec.hetero_eps)
+    m3e = m3[spec.dist_eps] * se**3
+    if spec.variant == "additive-re":
+        sizes_g = np.bincount(g, minlength=M).astype(float)
+        sizes_h = np.bincount(h, minlength=M).astype(float)
+        true_Q = float((sizes_g**2 * sa**2).sum() + (sizes_h**2 * sg**2).sum() + (se**2).sum())
+        m3a, m3g = m3[spec.dist_alpha] * sa**3, m3[spec.dist_gamma] * sg**3
+        third = m3a[g] * sizes_g[g] ** 2 + m3g[h] * sizes_h[h] ** 2 + m3e
+        F = np.hstack([np.eye(M)[g] * sa, np.eye(M)[h] * sg])
+        gaussian = {spec.dist_alpha, spec.dist_gamma, spec.dist_eps} == {"gaussian"}
+        return true_Q, third, (F, se**2), gaussian, (g, h)
+    if spec.variant == "iid-conservative":
+        own = np.arange(n)
+        return float((se**2).sum()), m3e, (np.empty((n, 0)), se**2), spec.dist_eps == "gaussian", (own, own)
+    var_i = sa[g] ** 2 * sg[h] ** 2  # interactive-chaos
+    return float(var_i.sum()), None, (np.empty((n, 0)), var_i), False, (g, h)
 
 
 def layout_specs():
@@ -202,6 +248,24 @@ class TestLayout:
                 got, ref = draw(seeded, rep), reference_draw(seeded, rep)
                 assert got.shape == ref.shape == oracle.mean.shape == (scheme.n,), spec
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (spec, seed, rep)
+
+    def test_oracle_matches_reference_closed_forms_bit_for_bit(self):
+        # scales and a size at which the order of the floating-point sums shows in the bits
+        odd = (replace(s, M=11, sigma_alpha=0.3, sigma_gamma=1.7, sigma_eps=0.9) for s in layout_specs())
+        for spec in (*layout_specs(), *odd):
+            _, oracle = structure(spec)
+            true_Q, third, (F, e), gaussian, dependent = reference_moments(spec)
+            assert type(oracle.true_Q) is float and oracle.true_Q.hex() == true_Q.hex(), spec
+            if spec.variant == "interactive-chaos":
+                assert oracle.third_inner_sum is None
+            elif third is not None:  # the triple's is checked against enumeration
+                assert oracle.third_inner_sum.tobytes() == third.tobytes(), spec
+            got_F, got_e = oracle.cov_factor()
+            assert (got_F.shape, got_F.tobytes(), got_e.tobytes()) == (F.shape, F.tobytes(), e.tobytes()), spec
+            assert oracle.gaussian is gaussian, spec
+            assert oracle.dependent.dims == ("G", "H")
+            for got, ref in zip(oracle.dependent.labels, dependent, strict=True):
+                assert got.dtype == np.int64 and got.tobytes() == ref.tobytes(), spec
 
     def test_structure_labels_match_reference_schemes(self):
         for spec in layout_specs():
@@ -326,6 +390,21 @@ class TestStructure:
         third_moment = reference_third_moment(spec)
         for i in range(scheme.n):
             brute = sum(third_moment(i, j, k) for j in range(scheme.n) for k in range(scheme.n))
+            assert oracle.third_inner_sum[i] == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("dist_gamma", ["centered-exponential", "rademacher"])
+    @pytest.mark.parametrize("one_way", [False, True])
+    def test_triple_third_inner_sum_matches_triple_enumeration(self, one_way, dist_gamma):
+        spec = DgpSpec(
+            variant="nonzero-mean-triple", M=2, dist_alpha="centered-exponential", dist_gamma=dist_gamma,
+            triple_one_way=one_way,
+        )
+        _, oracle = structure(spec)
+        index = build_index(oracle.dependent)  # the true dependence, whatever the scheme
+        third_moment = reference_third_moment(spec)
+        for i in range(oracle.scheme.n):
+            nbrs = index.neighborhood(i)
+            brute = sum(third_moment(i, int(j), int(k)) for j in nbrs for k in nbrs)
             assert oracle.third_inner_sum[i] == pytest.approx(brute, rel=1e-12)
 
     def test_gaussian_designs_have_zero_third_moments(self):
