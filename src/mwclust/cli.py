@@ -361,7 +361,6 @@ def cmd_estimate(args) -> int:
     data = _build_regression(args)
     index = build_index(data.scheme)
     res = theta_inference(data, index)
-    warnings = list(res.warnings)  # those of the raw variance
     sigma_sq = res.sigma_sq
     V = res.V_hat
     if args.dof_correction:
@@ -371,7 +370,10 @@ def cmd_estimate(args) -> int:
     if args.psd_project:  # one projection: sigma_sq is the (1,1) entry of the clipped V
         V = psd_clip(V)
         sigma_sq = float(V[0, 0])
-    fin = _finish_scalar(res.beta_hat, res.theta_hat, sigma_sq, res.residuals, res.D_tilde, V)
+    fin = _finish_scalar(
+        res.beta_hat, res.theta_hat, sigma_sq, res.residuals, res.D_tilde, V, rank_lambda=res.rank_lambda
+    )
+    warnings = fin.warnings  # those of the variance reported
     diag = _data_diagnostics(index, res, warnings)
     results = {
         "n": data.n,

@@ -197,15 +197,18 @@ class NeighborhoodIndex:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return [np.bincount(lab, weights=x, minlength=m) for lab, m in self._groups]
-        if x.shape[1] == 0:
-            return [np.zeros((m, 0)) for _, m in self._groups]
-        if x.shape[1] == 1:  # the same bincount, without the transposing copy and the stack
+        if x.shape[1] == 1:  # the same bincount, without the transposing copy and the filling one
             return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in self._groups]
-        cols = np.ascontiguousarray(x.T)  # one transposing copy, not one strided copy per column
-        return [
-            np.column_stack([np.bincount(lab, weights=col, minlength=m) for col in cols])
-            for lab, m in self._groups
-        ]
+        # one transposing copy, not one strided copy per column; none for a K-by-n C-ordered
+        # array's transpose, the layout the pair-sum callers pass
+        cols = np.ascontiguousarray(x.T)
+        sums = []
+        for lab, m in self._groups:
+            s = np.empty((m, cols.shape[0]))
+            for j, col in enumerate(cols):
+                s[:, j] = np.bincount(lab, weights=col, minlength=m)
+            sums.append(s)
+        return sums
 
     def pair_sum(self, s):
         """Sum of s_i s_j' over dependent ordered pairs: a float for an n-vector, K-by-K for n-by-K."""

@@ -6,7 +6,8 @@ and forms one pair sum over the stacked scores [u_hat * D_tilde | X_s * u]: its
 first diagonal entry gives the residualized variance, the rest the sandwich
 meat, and the two routes are cross-checked. X_s is X with each column scaled
 by a power of two, so the sandwich is formed in no particular units and
-unscaled exactly.
+unscaled exactly. A fit holds one such scaled copy of the design (``_design``),
+which the QR, the Gram matrix and the scores share.
 """
 
 from __future__ import annotations
@@ -86,18 +87,53 @@ class InferenceResult:
     rank_lambda: float | None = None  # smallest eigenvalue of X'X/n
 
 
+def _pow2_exponents(A: np.ndarray):
+    """Per column of A (one for a vector), the power of two that takes its largest magnitude into [0.5, 1)."""
+    # one reduction per column: numpy's strided axis-0 max is several times slower
+    peak = np.abs(A).max() if A.ndim == 1 else [np.abs(col).max() for col in A.T]
+    return np.frexp(peak)[1]
+
+
 def _pow2_scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A with each column divided by a power of two, to a largest magnitude in [0.5, 1), and the exponents.
 
     The division is exact, and sums of squares of the scaled columns cannot overflow.
     """
-    # one reduction per column: numpy's strided axis-0 max is several times slower
-    peak = np.abs(A).max() if A.ndim == 1 else [np.abs(col).max() for col in A.T]
-    e = np.frexp(peak)[1]
+    e = _pow2_exponents(A)
     return np.ldexp(A, -e), e
 
 
-def _fit(data: RegressionData, X: np.ndarray | None = None):
+def _design(data: RegressionData) -> tuple[np.ndarray, np.ndarray]:
+    """Z = [controls | D], Fortran-ordered, each column scaled in place as by ``_pow2_scaled``; and e.
+
+    The one n-by-k copy of the regressors that a fit holds: the QR, the
+    orthogonality check, the Gram matrix and the scores all read it.
+    """
+    n, p = data.controls.shape
+    Z = np.empty((n, p + 1), order="F")
+    Z[:, :p] = data.controls
+    Z[:, p] = data.D
+    e = _pow2_exponents(Z)
+    np.ldexp(Z, -e, out=Z)
+    return Z, e
+
+
+def _residuals(data: RegressionData, beta: np.ndarray) -> np.ndarray:
+    """Y - X beta, with X = ``data.X`` formed a block of rows at a time.
+
+    Each row's product with beta is computed from that row alone, so the
+    blocks give the bits of the whole product without holding X.
+    """
+    rows = 8192  # a block of X is a few hundred kB
+    u = np.empty(data.n)
+    for lo in range(0, data.n, rows):
+        part = slice(lo, lo + rows)
+        block = np.column_stack([data.D[part], data.controls[part]])
+        np.subtract(data.Y[part], block @ beta, out=u[part])
+    return u
+
+
+def _fit(data: RegressionData, design: tuple[np.ndarray, np.ndarray] | None = None):
     """(beta, D_tilde, ssd, u_hat) from one QR of the design [controls | D].
 
     The rank decision does not depend on units: each column is scaled by a
@@ -108,12 +144,12 @@ def _fit(data: RegressionData, X: np.ndarray | None = None):
     with D_tilde the residual of D on the controls' Q columns; the control
     coefficients come from the triangular solve given the slope. Without
     controls D_tilde is D itself, so an exact fit leaves exactly zero residuals.
-    ``X`` is ``data.X``, from a caller that builds it once for ``_gram`` too.
+    ``design`` is ``_design(data)``, from a caller that reads it after the fit too.
     """
-    Zs, e = _pow2_scaled(np.column_stack([data.controls, data.D]))
-    n, k = Zs.shape
-    q, r = np.linalg.qr(Zs)
-    ssq = np.einsum("ij,ij->j", Zs, Zs)[: min(n, k)]
+    Z, e = _design(data) if design is None else design
+    n, k = Z.shape
+    q, r = np.linalg.qr(Z)
+    ssq = np.einsum("ij,ij->j", Z, Z)[: min(n, k)]
     bad = np.flatnonzero(np.diag(r) ** 2 <= RANK_LAMBDA_MIN * ssq)
     if bad.size or n < k:
         col = int(bad[0]) if bad.size else n
@@ -124,6 +160,8 @@ def _fit(data: RegressionData, X: np.ndarray | None = None):
         raise SingularDesignError(f"design matrix is rank deficient at column {name!r}")
     Qw = q[:, :-1]
     D_tilde = data.D - Qw @ (Qw.T @ data.D)
+    QwY = Qw.T @ data.Y
+    del q, Qw  # Q is as large as the design; only R is read from here on
     ssd = float(D_tilde @ D_tilde)
     if not ssd < np.inf:
         raise FloatingPointError(
@@ -134,12 +172,12 @@ def _fit(data: RegressionData, X: np.ndarray | None = None):
             "sum of squares of the residualized regressor underflows double precision"
         )
     theta = float(D_tilde @ data.Y) / ssd
-    gamma = np.linalg.solve(r[:-1, :-1], Qw.T @ data.Y - r[:-1, -1] * np.ldexp(theta, e[-1]))
+    gamma = np.linalg.solve(r[:-1, :-1], QwY - r[:-1, -1] * np.ldexp(theta, e[-1]))
     beta = np.concatenate([[theta], np.ldexp(gamma, -e[:-1])])  # in the order of data.X
-    u_hat = data.Y - (data.X if X is None else X) @ beta
+    u_hat = _residuals(data, beta)
     Ys, ey = _pow2_scaled(data.Y)  # on scaled columns X'Y cannot overflow
-    ref = np.linalg.norm(Zs.T @ Ys)
-    if not (ref < np.inf and (ref == 0 or np.linalg.norm(Zs.T @ np.ldexp(u_hat, -ey)) <= 1e-8 * ref)):
+    ref = np.linalg.norm(Z.T @ Ys)
+    if not (ref < np.inf and (ref == 0 or np.linalg.norm(Z.T @ np.ldexp(u_hat, -ey)) <= 1e-8 * ref)):
         raise FloatingPointError("normal-equation residual orthogonality check failed")
     return beta, D_tilde, ssd, u_hat
 
@@ -156,21 +194,30 @@ def _slope_variance(pair_sum: float, ssd: float) -> float:
     return pair_sum / ssd / ssd  # (sum Dt^2)^2 can leave the double range; dividing twice does not
 
 
-def _gram(X: np.ndarray):
-    """(X_s, e, (X_s'X_s)^-1, smallest eigenvalue of X'X/n) with X_s, e = ``_pow2_scaled(X)``.
+def _gram(Z: np.ndarray, e: np.ndarray):
+    """((X_s'X_s)^-1, e, smallest eigenvalue of X'X/n) from ``_design``'s Z and e.
 
-    The eigenvalue is reported in the units of X, and is None when X'X/n
-    overflows there; ``_fit`` decides rank, and the sandwich is formed on X_s.
+    X_s is Z's columns in the order of ``data.X``, [D | controls]; so are e
+    and the k-by-k results. The eigenvalue is reported in the units of X, and
+    is None when X'X/n overflows there; ``_fit`` decides rank, and the
+    sandwich is formed on X_s.
     """
-    Xs, e = _pow2_scaled(X)
-    S = Xs.T @ Xs
+    order = np.roll(np.arange(Z.shape[1]), 1)  # [controls | D] -> [D | controls]
+    S = (Z.T @ Z)[np.ix_(order, order)]
+    e = e[order]
     with np.errstate(over="ignore"):  # an overflow only withholds the eigenvalue
-        raw = np.ldexp(S, np.add.outer(e, e)) / X.shape[0]
+        raw = np.ldexp(S, np.add.outer(e, e)) / Z.shape[0]
     rank_lambda = smallest_eigenvalue(raw) if np.isfinite(raw).all() else None
     try:
-        return Xs, e, np.linalg.inv(S), rank_lambda
+        return np.linalg.inv(S), e, rank_lambda
     except np.linalg.LinAlgError as exc:
         raise FloatingPointError(f"X'X is not invertible in double precision: {exc}") from None
+
+
+def _design_scores(Z: np.ndarray, u_hat: np.ndarray, out: np.ndarray) -> None:
+    """Write the scores X_s * u into ``out``, one row per column of X_s (``_gram``'s order)."""
+    np.multiply(Z[:, -1], u_hat, out=out[0])
+    np.multiply(Z[:, :-1].T, u_hat, out=out[1:])
 
 
 def _sandwich(S_inv: np.ndarray, Q: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -230,9 +277,13 @@ def intercept_only_slope(D: np.ndarray, Y: np.ndarray, index: NeighborhoodIndex)
 
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
     """Full sandwich inference treating the regressors as random."""
-    beta, D_tilde, _, u_hat = _fit(data, X := data.X)
-    Xs, e, S_inv, rank_lambda = _gram(X)
-    V_hat = _sandwich(S_inv, _pair_sum(Xs * u_hat[:, None], index), e)
+    design = _design(data)
+    beta, D_tilde, _, u_hat = _fit(data, design)
+    S_inv, e, rank_lambda = _gram(*design)
+    scores = np.empty((e.size, data.n))  # one score per row
+    _design_scores(design[0], u_hat, scores)
+    del design
+    V_hat = _sandwich(S_inv, _pair_sum(scores.T, index), e)
     return _finish_scalar(
         beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat, rank_lambda=rank_lambda
     )
@@ -245,11 +296,13 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
     asserts the numeric identity between the (1,1) element of the full
     sandwich and the residualized variance formula.
     """
-    beta, D_tilde, ssd, u_hat = _fit(data, X := data.X)
-    Xs, e, S_inv, rank_lambda = _gram(X)
-    scores = np.empty((Xs.shape[1] + 1, u_hat.size))  # one score per row
+    design = _design(data)
+    beta, D_tilde, ssd, u_hat = _fit(data, design)
+    S_inv, e, rank_lambda = _gram(*design)
+    scores = np.empty((e.size + 1, data.n))  # one score per row
     np.multiply(u_hat, D_tilde, out=scores[0])
-    np.multiply(Xs.T, u_hat, out=scores[1:])
+    _design_scores(design[0], u_hat, scores[1:])
+    del design  # the pair sum holds the scores and their weighted copy
     Q = _pair_sum(scores.T, index)  # a view whose columns cluster_sums reads without a copy
     pair_sum = float(Q[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)

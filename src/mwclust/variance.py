@@ -83,7 +83,8 @@ def _pair_enum(W, omega, index: NeighborhoodIndex) -> np.ndarray:
 
 
 def _inclusion_exclusion(W, omega, index: NeighborhoodIndex) -> np.ndarray:
-    return index.pair_sum(omega[:, None] * W)
+    # the weighted rows written K-by-n, whose transpose cluster_sums reads without a copy
+    return index.pair_sum(np.multiply(W.T, omega, order="C").T)
 
 
 _METHODS = {

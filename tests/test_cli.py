@@ -193,16 +193,21 @@ class TestEstimate:
         assert code == 0
         assert calls["qr"] == 1 and calls["cluster_sums"] <= 3
 
-    def test_psd_project_takes_sigma_from_the_projected_matrix(self, tmp_path, capsys):
-        # a design whose estimated V is indefinite with a positive (1,1) entry
-        rng = np.random.default_rng(4)
+    @staticmethod
+    def small_random_estimate(tmp_path, seed):
+        """The estimate argv of a small random two-way dataset, whose estimated V may be indefinite."""
+        rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 20))
         g, h = rng.integers(0, int(rng.integers(2, 5)), n), rng.integers(0, int(rng.integers(2, 8)), n)
         y, d = np.round(rng.normal(size=n), 2), np.round(rng.normal(size=n), 2)
-        p = tmp_path / "indefinite.csv"
+        p = tmp_path / f"random-{seed}.csv"
         cells = zip(*(a.tolist() for a in (y, d, g, h)))
         p.write_text("y,d,g,h\n" + "".join(f"{a!r},{b!r},{c},{e}\n" for a, b, c, e in cells))
-        argv = ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
+        return ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"]
+
+    def test_psd_project_takes_sigma_from_the_projected_matrix(self, tmp_path, capsys):
+        # a design whose estimated V is indefinite with a positive (1,1) entry
+        argv = self.small_random_estimate(tmp_path, 4)
         plain = check_report(run_cli(argv, capsys)[1])["results"]
         code, out, _ = run_cli([*argv, "--psd-project"], capsys)
         res = check_report(out)["results"]
@@ -212,6 +217,20 @@ class TestEstimate:
         sigma = math.sqrt(res["sigma_sq"])
         assert res["sigma_hat"] == sigma and res["t_stat"] == res["theta_hat"] / sigma
         assert res["ci_95"] == [res["theta_hat"] - Z_CRIT_95 * sigma, res["theta_hat"] + Z_CRIT_95 * sigma]
+
+    def test_psd_project_warnings_describe_the_reported_variance(self, tmp_path, capsys):
+        # a design whose raw sigma_sq is negative and whose projected sigma_sq is positive
+        negative = "estimated variance is negative; confidence interval suppressed"
+        argv = self.small_random_estimate(tmp_path, 1)
+        code, out, _ = run_cli(argv, capsys)
+        plain = check_report(out)
+        assert code == 0 and plain["results"]["sigma_sq"] < 0 and plain["results"]["ci_95"] is None
+        assert plain["warnings"][0] == negative
+        code, out, _ = run_cli([*argv, "--psd-project"], capsys)
+        projected = check_report(out)
+        assert code == 0 and projected["results"]["sigma_sq"] > 0 and projected["results"]["ci_95"]
+        # the interval is reported, and no warning says it is suppressed; the diagnostics' stay
+        assert projected["warnings"] == plain["warnings"][1:]
 
     def test_missing_column_is_data_error(self, capsys):
         code, _, err = run_cli(

@@ -19,6 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DATA = ["--data", "data/additive_re_m10.csv", "--cluster", "g,h"]
 MODEL = ["--y", "y", "--d", "d"]
+# 400 rows from bench/gen.py's estimate_arrays(5, n=400, firms=40, markets=12):
+# weighted, with two controls and string labels, as the benchmark's estimate
+WEIGHTED = [
+    "--data", "data/firm_market_n400.csv", *MODEL, "--controls", "x1,x2", "--weight", "w",
+    "--cluster", "firm,market",
+]
 
 CASES = {
     **{
@@ -30,6 +36,10 @@ CASES = {
     "estimate-psd-project": ["estimate", *MODEL, *DATA, "--psd-project"],
     "estimate-dof-correction-psd-project": ["estimate", *MODEL, *DATA, "--dof-correction", "--psd-project"],
     "diagnose-data": ["diagnose", *MODEL, *DATA],
+    "estimate-weighted-controls": ["estimate", *WEIGHTED],
+    "estimate-weighted-controls-dof-correction-psd-project": [
+        "estimate", *WEIGHTED, "--dof-correction", "--psd-project",
+    ],
 }
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwclust import regression
 from mwclust.clusters import ClusterScheme, WeightedSample, build_index
 from mwclust.regression import (
     RANK_LAMBDA_OVERFLOW,
@@ -359,6 +361,19 @@ class TestPow2Scaled:
         assert np.ndim(ey) == 0 and ey == np.frexp(np.abs(y).max(axis=0))[1]
 
 
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_design_is_the_scaled_stack_in_fortran_order(self, seed):
+        # _design scales in place what _pow2_scaled scales into a copy: the same bits
+        rng = np.random.default_rng(seed)
+        data = random_regression(rng)
+        cols = [data.controls * 10.0 ** rng.integers(-200, 200, data.controls.shape[1]), data.D]
+        data = RegressionData(Y=data.Y, D=cols[1], controls=cols[0], scheme=data.scheme)
+        Z, e = regression._design(data)
+        Zs, es = _pow2_scaled(np.column_stack([data.controls, data.D]))
+        assert Z.flags.f_contiguous
+        assert Z.tobytes() == Zs.tobytes() and e.tobytes() == es.tobytes()
+
 class TestThetaInference:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -412,13 +427,18 @@ class TestThetaInference:
         assert res.sigma_sq == pytest.approx(expect, rel=1e-12)
 
     def test_builds_the_design_matrix_once(self, monkeypatch):
-        # one n-by-k design matrix per fit, shared by the QR's residuals and the sandwich's bread
+        # one n-by-k design matrix per fit, the scaled [controls | D] that the QR, the
+        # sandwich's bread and the scores share; the unscaled data.X is never built whole
         data = random_regression(np.random.default_rng(4))
         calls = []
         X = RegressionData.X
-        monkeypatch.setattr(RegressionData, "X", property(lambda self: calls.append(1) or X.fget(self)))
-        theta_inference(data, build_index(data.scheme))
-        assert len(calls) == 1
+        monkeypatch.setattr(RegressionData, "X", property(lambda self: calls.append("X") or X.fget(self)))
+        design = regression._design
+        monkeypatch.setattr(regression, "_design", lambda data: calls.append("design") or design(data))
+        for inference in (theta_inference, stochastic_design_inference):
+            calls.clear()
+            inference(data, build_index(data.scheme))
+            assert calls == ["design"]
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -439,3 +459,28 @@ class TestThetaInference:
         assert fixed_design_inference(data, index).score_pair_sum == pytest.approx(
             res.score_pair_sum, rel=1e-12
         )
+
+
+class TestMemory:
+    @pytest.mark.parametrize("inference", [theta_inference, stochastic_design_inference])
+    def test_holds_one_scaled_copy_of_the_design(self, inference):
+        # n = 2e5 rows, k = 4 columns (D, an intercept, two controls) and 4000 x 400
+        # labels, so that most cells hold one row and the cell sums are about as long
+        # as the scores. theta_inference peaks in the pair sum, at 18.8 n-vectors:
+        # keeping the design alive there, or one more copy of the stacked scores or
+        # of their cell sums, would exceed the bound; each inference read 30.5 when
+        # the design was copied three times
+        rng = np.random.default_rng(17)
+        n = 200_000
+        controls = np.column_stack([np.ones(n), rng.normal(size=n), rng.uniform(-1.0, 1.0, n)])
+        D = rng.normal(size=n) + 0.2 * controls[:, 1]
+        Y = D + controls @ [0.5, 0.3, -0.2] + rng.normal(size=n)
+        data = make_data(Y, D, controls, rng.integers(0, 4000, n), rng.integers(0, 400, n))
+        index = build_index(data.scheme)
+        tracemalloc.start()
+        try:
+            inference(data, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * n

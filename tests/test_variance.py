@@ -38,6 +38,16 @@ def random_instance(rng, n_max=60, K_max=3):
     return WeightedSample(W=W, omega=omega), build_index(scheme), g, h
 
 
+def stacked_cluster_sums(index, x):
+    """Per G cluster, H cluster and cell, the column sums of n-by-K ``x``: one bincount per
+    column, stacked. The bits that ``NeighborhoodIndex.cluster_sums`` keeps."""
+    x = np.asarray(x, dtype=float)
+    groups = zip((*index.scheme.labels, index.cell_dense), (*index.scheme.n_clusters, index.n_cells))
+    if x.shape[1] == 1:
+        return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in groups]
+    cols = np.ascontiguousarray(x.T)
+    return [np.column_stack([np.bincount(lab, weights=col, minlength=m) for col in cols]) for lab, m in groups]
+
 class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -195,6 +205,34 @@ class TestCgmRaw:
         qc = cgm_raw(scaled, index).Q_hat
         np.testing.assert_allclose(qc, c * c * q, rtol=1e-9, atol=1e-9)
 
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from(["C", "F"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_layout_keeps_the_bits(self, K, order, unit, seed):
+        # cgm_raw writes the weighted sample K-by-n and cluster_sums fills one array per
+        # dimension; both are storage changes, so the bits are those of the product
+        # omega[:, None] * W and of the stacked per-column bincounts
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        g = rng.integers(0, int(rng.integers(1, 30)), n)
+        h = rng.integers(0, int(rng.integers(1, 30)), n)
+        W = np.asarray(rng.normal(size=(n, K)) * 10.0 ** rng.integers(-5, 6, K), order=order)
+        omega = np.ones(n) if unit else rng.uniform(0.1, 10.0, n)
+        index = build_index(ClusterScheme.from_labels(g, h))
+        weighted = omega[:, None] * W
+        s_g, s_h, s_cell = stacked_cluster_sums(index, weighted)
+        total = s_g.T @ s_g + s_h.T @ s_h - s_cell.T @ s_cell
+        Q = cgm_raw(WeightedSample(W=W, omega=omega), index).Q_hat
+        assert Q.tobytes() == (0.5 * (total + total.T)).tobytes()
+        for x in (W, weighted, np.multiply(W.T, omega, order="C").T):
+            sums = index.cluster_sums(x)
+            assert all(s.flags.c_contiguous for s in sums)
+            assert [s.tobytes() for s in sums] == [s.tobytes() for s in stacked_cluster_sums(index, x)]
 
 class TestCgmDemeaned:
     def test_recentring_changes_sign_structure(self):
