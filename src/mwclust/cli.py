@@ -13,12 +13,11 @@ import argparse
 import csv
 import json
 import math
-import operator
 import sys
 import warnings
 from collections import defaultdict
 from dataclasses import fields as dc_fields, replace
-from itertools import chain, count
+from itertools import count
 from urllib.parse import urlparse
 
 import numpy as np
@@ -149,10 +148,9 @@ def _dgp_from_config(cfg: dict) -> DgpSpec:
 def _read_table(path: str, columns: list[str]) -> dict[str, list[str]]:
     """Read required columns from a comma-delimited UTF-8 file with a header.
 
-    Blank records are skipped and fields past the header are ignored. One
-    pass of ``csv.reader`` flattens the requested fields of every record into
-    a single list of strings; only when a record is short or a cell is empty
-    is the file read again, to name the first such cell.
+    Blank records are skipped and fields past the header are ignored. The
+    first short record or empty required cell is named as it is met, rows
+    counting non-blank records from 2 and columns in ``columns`` order.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
@@ -170,24 +168,20 @@ def _read_table(path: str, columns: list[str]) -> dict[str, list[str]]:
             for col in columns:
                 if header.count(col) > 1:
                     raise DataError(f"{path}: column {col!r} appears more than once in the header")
-            names = list(dict.fromkeys(columns))
-            k = len(names)
-            get = operator.itemgetter(*(header.index(c) for c in names))
-            records = filter(None, reader)
-            try:
-                flat = list(map(get, records) if k == 1 else chain.from_iterable(map(get, records)))
-            except IndexError:
-                flat = None
+            table = {col: [] for col in columns}
+            where = [(col, header.index(col), table[col].append) for col in table]
+            for lineno, row in enumerate(filter(None, reader), start=2):
+                for col, j, append in where:
+                    if j >= len(row) or row[j] == "":
+                        raise DataError(f"{path}: row {lineno}: missing value in column {col!r}")
+                    append(row[j])
         except UnicodeDecodeError:
             raise DataError(f"{path}: line {_undecodable_line(path)}: not valid UTF-8") from None
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-        if flat is None or "" in flat:
-            fh.seek(0)
-            _raise_first_missing(path, csv.reader(fh), columns)
-    if not flat:
+    if not table[columns[0]]:
         raise DataError(f"{path}: no data rows")
-    return {col: flat[j::k] for j, col in enumerate(names)}
+    return table
 
 
 def _undecodable_line(path: str) -> int:
@@ -201,33 +195,14 @@ def _undecodable_line(path: str) -> int:
     raise DataError(f"{path}: changed while being read")
 
 
-def _raise_first_missing(path: str, reader, columns: list[str]):
-    """Name the first short or empty required cell, rows first, then ``columns`` order.
-
-    Rows count non-blank records from 2, the header being row 1.
-    """
-    header = next(reader)
-    where = [(col, header.index(col)) for col in columns]
-    for lineno, row in enumerate(filter(None, reader), start=2):
-        for col, j in where:
-            if j >= len(row) or row[j] == "":
-                raise DataError(f"{path}: row {lineno}: missing value in column {col!r}")
-    raise DataError(f"{path}: changed while being read")
-
-
 def _floats(path: str, col: str, values: list[str], scale=None) -> np.ndarray:
     """Parse a column with Python ``float`` semantics, times ``scale``; each result must be finite."""
-    try:
-        out = np.fromiter(map(float, values), float, count=len(values))
-    except ValueError:
-        for k, v in enumerate(values):
-            try:
-                float(v)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}"
-                ) from None
-        raise
+    out = np.empty(len(values))
+    for k, v in enumerate(values):
+        try:
+            out[k] = float(v)
+        except ValueError:
+            raise DataError(f"{path}: row {k + 2}: column {col!r}: not a number: {v!r}") from None
     if scale is not None:
         out = out * scale
     if not np.isfinite(out).all():
@@ -242,29 +217,31 @@ def _weights(path: str, col: str, values: list[str]) -> np.ndarray:
     out = _floats(path, col, values)
     if (out <= 0).any():
         k = int(np.flatnonzero(out <= 0)[0])
-        raise DataError(
-            f"{path}: row {k + 2}: weight column {col!r} must be positive: {values[k]!r}"
-        )
+        raise DataError(f"{path}: row {k + 2}: weight column {col!r} must be positive: {values[k]!r}")
     return out
 
 
-def _needs_csv(path: str) -> bool:
-    """Whether a file may read differently in numpy's C parser than in ``csv`` and ``float``.
+def _line_count(path: str) -> int | None:
+    """Lines in a file (newlines, and a last line without one); None if numpy and ``csv`` may read it apart.
 
-    That is a file with a quote, with a byte 0x1C-0x1F (``float`` keeps these
-    around a number, numpy strips them) or with a line that may be longer than
+    That is a file with a byte 0x1C-0x1F (``float`` keeps these around a
+    number, numpy strips them) or with a field that may be longer than
     ``csv.field_size_limit()``, which ``csv`` rejects even in a column not
-    read. Such a line covers a whole block of limit // 2 + 1 bytes starting
-    at a multiple of that size, so a newline in every such block rules it out.
-    The file is read one such block at a time.
+    read. Such a field covers a whole block of limit // 2 + 1 bytes starting
+    at a multiple of that size: a newline in every such block rules out one
+    on a single line, and the caller's check of this count against numpy's
+    records one over lines. The file is read one such block at a time.
     """
     step = csv.field_size_limit() // 2 + 1
+    lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         while block := fh.read(step):
             long_line = len(block) == step and b"\n" not in block
-            if long_line or any(c in block for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-                return True
-    return False
+            if long_line or any(c in block for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return None
+            lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            last = block[-1:]
+    return lines + (last != b"\n")
 
 
 def _numpy_would_resolve(path: str) -> bool:
@@ -276,40 +253,41 @@ def _numpy_would_resolve(path: str) -> bool:
 def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: str):
     """What ``_read_clustered`` reads, from one pass of numpy's C parser, or None.
 
-    ``np.loadtxt`` reads the file in chunks and, past the header, splits the
-    lines of a file that ``_needs_csv`` passes into the fields ``csv.reader``
-    reads; a C-level converter codes each label in order of first appearance.
-    Any error or warning, a short row, an empty label, a weight that is not
-    positive or a value that is not finite before or after weighting returns
-    None: the ``csv`` path then reads the file again and names the first bad
-    cell.
+    ``np.loadtxt`` reads the file in chunks and splits the lines of a file
+    that ``_line_count`` passes into the fields ``csv.reader`` reads, quotes
+    included; a C-level converter codes each label in order of first
+    appearance. It skips one line as the header and reads in text mode, a CR
+    in quotes becoming a newline. A header or record over two lines, a blank
+    record, a label holding a newline, any error or warning, a short row, an
+    empty label, a weight that is not positive or a value that is not finite
+    before or after weighting returns None: the ``csv`` path then reads the
+    file again and names the first bad cell.
     """
     numeric = list(dict.fromkeys([*columns, *([weight] if weight else [])]))
     labels = list(dict.fromkeys(cluster_cols))
     names = [*numeric, *labels]
-    if len(set(names)) < len(names):  # a column read both as a number and as a label
-        return None
-    if _numpy_would_resolve(path):
+    # a column read both as a number and as a label, or a path numpy opens its own way
+    if len(set(names)) < len(names) or _numpy_would_resolve(path):
         return None
     try:
-        if _needs_csv(path):
-            return None
+        lines = _line_count(path)
         with open(path, encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if any(header.count(c) != 1 for c in names):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+        if lines is None or reader.line_num != 1 or any(header.count(c) != 1 for c in names):
             return None
         first = {c: defaultdict(count().__next__) for c in labels}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # "input contained no data" among others
             table = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=1, skiprows=1, encoding="utf-8",
+                path, delimiter=",", quotechar='"', comments=None, ndmin=1, skiprows=1, encoding="utf-8",
                 dtype=[(str(j), float if j < len(numeric) else np.int64) for j in range(len(names))],
                 usecols=[header.index(c) for c in names],
                 converters={header.index(c): first[c].__getitem__ for c in labels},
             )
     except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
-    if caught:
+    if caught or len(table) + 1 != lines:
         return None
     cells = {c: table[str(j)] for j, c in enumerate(names)}
     w = cells[weight].copy() if weight else None
@@ -319,7 +297,7 @@ def _read_clean(path: str, columns: list[str], cluster_cols: list[str], weight: 
     values = {c: cells[c] * root if weight else cells[c].copy() for c in columns}
     if not all(np.isfinite(v).all() for v in values.values()):
         return None
-    if any("" in first[c] for c in labels):
+    if any("" in first[c] or "\n" in "".join(first[c]) for c in labels):
         return None
     ids, uniq = zip(*(_ranked(cells[c], list(first[c])) for c in cluster_cols))  # every key is a str
     return w, values, ClusterScheme(dims=tuple(cluster_cols), labels=ids, label_values=uniq)
@@ -570,6 +548,8 @@ def cmd_diagnose(args) -> int:
     if not args.data or not args.cluster:
         raise ConfigError("diagnose requires either --config or --data with --cluster")
     if args.d:
+        if not args.y:
+            raise ConfigError("diagnose --d requires --y, the outcome column")
         data = _build_regression(args)
         index = build_index(data.scheme)
         _, weights, _, _ = _fit(data)

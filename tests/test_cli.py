@@ -127,14 +127,16 @@ def without_c_pass(monkeypatch, fn, *args):
         return fn(*args)
 
 
-def reference_needs_csv(path):
-    """The whole-file scan that the streaming ``_needs_csv`` must match."""
+def reference_line_count(path):
+    """The whole-file scan that the streaming ``_line_count`` must match."""
     with open(path, "rb") as fh:
         data = fh.read()
     step = csv.field_size_limit() // 2 + 1
-    return any(c in data for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")) or any(
+    if any(c in data for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")) or any(
         data.find(b"\n", k, k + step) < 0 for k in range(0, len(data) - step + 1, step)
-    )
+    ):
+        return None
+    return len(data.split(b"\n")) - (data[-1:] in (b"", b"\n"))
 
 
 # labels a quote-free CSV holds as one field: no delimiter, quote, line break, NUL or 0x1C-0x1F
@@ -571,8 +573,10 @@ class TestIngest:
                 b"y,d,g,h\n1,2,a,b\n3,4,a," + b"x" * 140_000 + b"\n",
                 "line 3: field larger than field limit (131072)",
             ),
+            # the first problem in file order, though text decodes the bad byte's block first
+            (b"y,d,g,h\n1,2,,b\n" + b"3,4,a,c\n" * 2000 + b"5,\xff6,b,b\n", "row 2: missing value in column 'g'"),
         ],
-        ids=["undecodable", "oversized"],
+        ids=["undecodable", "oversized", "empty-before-undecodable"],
     )
     @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d"], ["diagnose"]])
     def test_unreadable_record_names_line(self, tmp_path, capsys, content, message, command):
@@ -656,6 +660,85 @@ class TestIngest:
         got = clustered_outcome(p, columns, weight)
         assert got == without_c_pass(monkeypatch, clustered_outcome, p, columns, weight)
 
+    # files as csv.writer quotes them: labels holding delimiters and quotes, a column not
+    # read (long enough to pass a low field size limit), quoted headers; at most one odd
+    # record per file (blank, or with line breaks in a label or in the note) and sometimes
+    # a header over two lines or CR line ends, so that many files stay on the C pass
+    @staticmethod
+    def quoted_record(label_chars, note_parts):
+        return st.fixed_dictionaries({
+            **dict.fromkeys(["y", "d"], st.sampled_from(["1", "-0.5", "2e0", "0.25", " 3", "7"])),
+            "w": st.sampled_from(["1", "0.25", "2e0", " 3"]),
+            **dict.fromkeys(["g", "h"], st.text(st.sampled_from(label_chars), min_size=1, max_size=5)),
+            "note": st.lists(st.sampled_from(note_parts), max_size=45).map("".join),
+        })
+
+    @pytest.mark.parametrize("limit", [None, 40])
+    @FUZZ
+    @given(
+        header=st.tuples(
+            st.permutations(["y", "d", "g", "h", "w", "note"]), st.sampled_from(["note", "note", "note", "no\nte"])
+        ).map(lambda t: [t[1] if n == "note" else n for n in t[0]]),
+        records=st.lists(quoted_record('ab,"é ', ["x", ",", '"']), max_size=10),
+        odd=st.tuples(
+            st.one_of(st.none(), st.none(), st.just({}), quoted_record('ab\n\r"', ["x", ",", "\n", "\r\n", '"'])),
+            st.integers(0, 10),
+        ),
+        lineterminator=st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]),
+        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+        model=st.sampled_from([([], ""), ([], "w"), (["y", "d"], ""), (["d", "y", "w"], "w")]),
+    )
+    @example(  # text mode would read the label a\rb as a\nb
+        header=["y", "d", "g", "h", "w", "note"],
+        records=[dict(y="1", d="2", g="a\rb", h="a", w="1", note=""), dict(y="3", d="1", g="b", h="b", w="1", note="")],
+        odd=(None, 0), lineterminator="\n", quoting=csv.QUOTE_MINIMAL, model=(["y", "d"], ""),
+    )
+    def test_c_pass_matches_csv_path_on_quoted_files(
+        self, tmp_path, monkeypatch, limit, header, records, odd, lineterminator, quoting, model
+    ):
+        if odd[0] is not None:
+            records.insert(odd[1], odd[0])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator=lineterminator, quoting=quoting)
+        writer.writerow(header)
+        names = [n.replace("\n", "") for n in header]
+        writer.writerows([row[n] for n in names] if row else [] for row in records)
+        p = tmp_path / "quoted.csv"
+        p.write_text(buf.getvalue(), encoding="utf-8", newline="")
+        columns, weight = model
+        old = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            got = clustered_outcome(p, columns, weight)
+            assert got == without_c_pass(monkeypatch, clustered_outcome, p, columns, weight)
+        finally:
+            csv.field_size_limit(old)
+
+    def test_r_style_quoted_file_takes_the_c_pass(self, tmp_path, monkeypatch, capsys):
+        # R's write.csv quotes the header, the row names and every string, not the numbers
+        plain = tmp_path / "plain.csv"
+        plain.write_text(self.CLEAN, encoding="utf-8", newline="")
+        rows = list(csv.reader(io.StringIO(self.CLEAN)))
+        buf = io.StringIO()
+        writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+        writer.writerow(["", *rows[0]])
+        writer.writerows([str(k), *map(float, row[:4]), *row[4:6], float(row[6])] for k, row in enumerate(rows[1:], 1))
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(buf.getvalue(), encoding="utf-8", newline="")
+        assert quoted.read_text().startswith('"","y","d","x","x2","g","h","w"\n"1",1.5,0.5,1.0,0.5,"f0","m0",1.0\n')
+        calls = []
+        read_table = cli._read_table
+        monkeypatch.setattr(cli, "_read_table", lambda *a: calls.append(a) or read_table(*a))
+        reports = []
+        for p in (quoted, plain):
+            code, out, err = run_cli(
+                ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--controls", "x,x2", "--weight", "w",
+                 "--cluster", "g,h"],
+                capsys,
+            )
+            assert (code, err) == (0, "")
+            reports.append(check_report(out)["results"])
+        assert calls == [] and reports[0] == reports[1]
+
     # shaped like the benchmark's file: quote-free, string labels, a weight and two controls
     CLEAN = "\n".join([
         "y,d,x,x2,g,h,w",
@@ -685,11 +768,17 @@ class TestIngest:
             ([("m2", "m2\x00")], 0),
             ([("\n7.5,", "\n7.5\n")], 2),
             ([(",f2,m2,", ",f2,m2\x00,")], 0),  # m2 and m2\0 are two clusters
+            ([(",f2,m1,", ',"f2\nx",m1,')], 0),  # a record over two lines
+            ([(",f2,m1,", ',"f2\rx",m1,')], 0),  # numpy would read f2\nx
+            ([("w\n", 'w,"n\n1.5,0.5,1,0.5,f9,m9,1,x"\n')], 0),  # numpy would skip one line of the header
+            ([("\n2.5,", '\n"' + " \n" * 70_000 + '2.5",')], 2),  # over the field size limit
+            ([(",0.5,f0,m0,", ',"' + "a,\n" * 50_000 + '",f0,m0,')], 2),  # the same in a column not read
         ],
         ids=["clean", "hash-label", "hash-number", "quoted-crlf", "bare-cr", "crlf", "oversized-ignored-field",
              "underscore", "separator-0x1c", "empty-label", "weighted-overflow", "zero-weight",
              "header-only", "whitespace-row", "blank-lines", "nul-label", "short-row",
-             "nul-suffix-label"],
+             "nul-suffix-label", "quoted-lf-label", "quoted-cr-label", "multiline-header",
+             "oversized-multiline-number", "oversized-multiline-ignored-field"],
     )
     @pytest.mark.parametrize("command", [["estimate", "--y", "y", "--d", "d", "--controls", "x"], ["diagnose"]])
     def test_c_pass_hazards_match_csv_path(self, tmp_path, monkeypatch, capsys, edits, code, command):
@@ -722,8 +811,9 @@ class TestIngest:
 
     @pytest.mark.parametrize(
         "edit, reads",
-        [((), 0), ((",m1,", ',"m1",'), 1), (("\n2,", "\n2_0,"), 1)],
-        ids=["clean", "quoted-label", "underscore"],
+        [((), 0), ((",m1,", ',"m1",'), 0), (("y,d,x,x2,g,h,w", '"y","d","x","x2","g","h","w"'), 0),
+         (("\n2,", "\n2_0,"), 1)],
+        ids=["clean", "quoted-label", "quoted-header", "underscore"],
     )
     def test_clean_file_takes_the_c_pass(self, tmp_path, monkeypatch, capsys, edit, reads):
         p = tmp_path / "bench.csv"
@@ -756,7 +846,7 @@ class TestIngest:
                     data[block * step + offset] = ord("\n")
             p = tmp_path / "bytes.csv"
             p.write_bytes(bytes(data))
-            assert cli._needs_csv(str(p)) == reference_needs_csv(p)
+            assert cli._line_count(str(p)) == reference_line_count(p)
         finally:
             csv.field_size_limit(old)
 
@@ -1311,6 +1401,12 @@ class TestDiagnose:
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli(["diagnose"], capsys)
         assert code == 2
+
+    def test_regressor_requires_outcome(self, monkeypatch, capsys):
+        # named before the file is read
+        monkeypatch.setattr(cli, "_read_clustered", lambda *a: pytest.fail("file read"))
+        code, out, err = run_cli(["diagnose", "--data", str(DATA), "--cluster", "g,h", "--d", "d"], capsys)
+        assert (code, out, err) == (2, "", "error: diagnose --d requires --y, the outcome column\n")
 
 
 class TestConsoleEntry:

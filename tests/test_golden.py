@@ -25,6 +25,8 @@ WEIGHTED = [
     "--data", "data/firm_market_n400.csv", *MODEL, "--controls", "x1,x2", "--weight", "w",
     "--cluster", "firm,market",
 ]
+# the same file with the header and both label columns quoted, as R's write.csv writes them
+QUOTED = [*WEIGHTED[:1], "data/firm_market_n400_quoted.csv", *WEIGHTED[2:]]
 
 CASES = {
     **{
@@ -40,6 +42,7 @@ CASES = {
     "estimate-weighted-controls-dof-correction-psd-project": [
         "estimate", *WEIGHTED, "--dof-correction", "--psd-project",
     ],
+    "estimate-weighted-controls-quoted": ["estimate", *QUOTED],
 }
 
 
