@@ -553,6 +553,9 @@ def cmd_diagnose(args) -> int:
         data = _build_regression(args)
         index = build_index(data.scheme)
         _, weights, _, _ = _fit(data)
+    elif args.y or args.controls:
+        flag = "--y" if args.y else "--controls"
+        raise ConfigError(f"diagnose {flag} requires --d, the regressor-of-interest column")
     else:
         w, _, scheme = _read_clustered(args, [])
         index = build_index(scheme)
@@ -561,8 +564,10 @@ def cmd_diagnose(args) -> int:
     warnings = ["data mode: dependence indicator unobservable; only leverage reported"]
     echo = {
         "data": args.data,
-        "cluster": args.cluster,
+        "y": args.y or "",
         "d": args.d or "",
+        "controls": args.controls or "",
+        "cluster": args.cluster,
         "weight": args.weight or "",
     }
     _emit(_report("diagnose", echo, results, warnings), args.out)

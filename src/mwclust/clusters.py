@@ -142,14 +142,17 @@ class WeightedSample:
 class NeighborhoodIndex:
     """Cluster sizes, intersection cells and the shared cluster-sum kernel.
 
-    Every neighbourhood sum in the package goes through :meth:`cluster_sums`:
-    by inclusion-exclusion, a sum over i's neighbourhood is its G-cluster sum
-    plus its H-cluster sum minus its intersection-cell sum. The pair-sum
-    variance, the bias term, both bounds and the diagnostics all use it.
-    Per-cluster member lists, read by :meth:`neighborhood` (the independent
-    pair-enumeration check), are built on first use.
+    Every neighbourhood sum in the package goes through :meth:`cluster_sums`,
+    or through :meth:`row_pair_sums` and :meth:`row_neighbor_sums` for a block
+    of replications: by inclusion-exclusion, a sum over i's neighbourhood is
+    its G-cluster sum plus its H-cluster sum minus its intersection-cell sum.
+    The pair-sum variance, the bias term, both bounds and the diagnostics all
+    use it. Per-cluster member lists, read by :meth:`neighborhood` (the
+    independent pair-enumeration check), and the block codes are built on
+    first use.
 
-    Immutable once built; safe to share across concurrent readers.
+    Immutable once built, but for those caches, which are replaced whole;
+    safe to share across concurrent readers.
     """
 
     def __init__(self, scheme: ClusterScheme):
@@ -163,11 +166,13 @@ class NeighborhoodIndex:
         g, h = scheme.labels
         uniq, self.cell_dense = np.unique(g * self.cluster_sizes[1].size + h, return_inverse=True)
         self.n_cells = uniq.size
-        self._groups = (
+        # (label of each observation, number of labels) of the three sums, signed +, +, -
+        self.groups = (
             (g, self.cluster_sizes[0].size),
             (h, self.cluster_sizes[1].size),
             (self.cell_dense, self.n_cells),
         )
+        self._codes = None  # per group, label + count * row over the largest block summed so far
 
     @cached_property
     def members(self) -> list[list[np.ndarray]]:
@@ -196,14 +201,14 @@ class NeighborhoodIndex:
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return [np.bincount(lab, weights=x, minlength=m) for lab, m in self._groups]
+            return [np.bincount(lab, weights=x, minlength=m) for lab, m in self.groups]
         if x.shape[1] == 1:  # the same bincount, without the transposing copy and the filling one
-            return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in self._groups]
+            return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in self.groups]
         # one transposing copy, not one strided copy per column; none for a K-by-n C-ordered
         # array's transpose, the layout the pair-sum callers pass
         cols = np.ascontiguousarray(x.T)
         sums = []
-        for lab, m in self._groups:
+        for lab, m in self.groups:
             s = np.empty((m, cols.shape[0]))
             for j, col in enumerate(cols):
                 s[:, j] = np.bincount(lab, weights=col, minlength=m)
@@ -221,6 +226,40 @@ class NeighborhoodIndex:
         s_g, s_h, s_cell = self.cluster_sums(x)
         g, h = self.scheme.labels
         return s_g[g] + s_h[h] - s_cell[self.cell_dense]
+
+    def _row_sums(self, X: np.ndarray) -> list[np.ndarray]:
+        """Per group, the B-by-count sums of each row of the B-by-n block ``X``.
+
+        One bincount per group over the codes label + count * row visits each
+        row's entries in the order ``cluster_sums`` visits one row's, so each
+        row's sums have its bits.
+        """
+        codes = self._codes
+        if codes is None or codes[0].size < X.size:
+            rows = np.arange(X.shape[0])[:, None]
+            codes = self._codes = [(lab + m * rows).ravel() for lab, m in self.groups]
+        flat, B = np.ravel(X), len(X)
+        return [np.bincount(c[: X.size], flat, m * B).reshape(B, m) for c, (_, m) in zip(codes, self.groups)]
+
+    def row_pair_sums(self, X: np.ndarray) -> np.ndarray:
+        """``pair_sum`` of each row of a B-by-n block, bit for bit."""
+        s_g, s_h, s_cell = self._row_sums(X)
+        return _row_dots(s_g, s_g) + _row_dots(s_h, s_h) - _row_dots(s_cell, s_cell)
+
+    def row_neighbor_sums(self, X: np.ndarray) -> np.ndarray:
+        """``neighbor_sums`` of each row of a B-by-n block, bit for bit, as a C-ordered block."""
+        s_g, s_h, s_cell = self._row_sums(X)
+        g, h = self.scheme.labels
+        return np.take(s_g, g, axis=1) + np.take(s_h, h, axis=1) - np.take(s_cell, self.cell_dense, axis=1)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k] @ b[k]`` for each row k of two C-ordered B-by-m arrays, bit for bit.
+
+    The batched product takes one BLAS dot per pair of contiguous rows, as the
+    one-row product does; the dot of a strided row can sum in another order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def build_index(scheme: ClusterScheme) -> NeighborhoodIndex:

@@ -1,12 +1,12 @@
 """Simulation designs with known ground truth.
 
-Each variant is one table of cluster-level components, from which ``draw``
+Each variant is one table of cluster-level components, from which ``draws``
 and the oracle read: exact means, the exact variance of the weighted sum,
-the true pairwise dependence as a pair of cluster labels, closed-form third
-moments (not for the product design) and a low-rank covariance factor.
-Replication streams are counter-based so parallel generation is
-replication-stable; a study draws every stream from one ``Streams``
-generator whose counter it resets.
+the true pairwise dependence as a pair of cluster labels and closed-form
+third moments (not for the product design). Replication streams are
+counter-based so parallel generation is replication-stable; a study draws
+every stream from one ``Streams`` generator whose counter it resets, one
+block of replications at a time.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ class MomentOracle:
     third_inner_sum: np.ndarray | None = None
     _design: _Layout | None = field(default=None, repr=False)
 
-    def cov_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(F, e)`` with covariance ``F @ F.T + diag(e)``: a column per label of each component."""
-        F = (np.eye(c.scale.size)[c.labels] * c.scale * c.loads[:, None] for c in self._design.components)
-        return np.hstack([np.empty((self.scheme.n, 0)), *F]), self._design.row_var
-
 
 def _schedule(base: float, count: int, hetero: bool) -> np.ndarray:
     if hetero:
@@ -141,12 +136,34 @@ def _streams_for(seed: int, streams: Streams | None) -> Streams:
     return streams
 
 
-def _draw(rng: np.random.Generator, dist: str, size: int) -> np.ndarray:
-    if dist == "gaussian":
-        return rng.standard_normal(size)
+# replications per block: B * n stays near this many elements, where numpy's per-call cost
+# is spread over the block and its arrays stay in cache
+BLOCK_ELEMENTS = 2**14
+
+
+def _blocks(reps: int, n: int):
+    """The replications ``0..reps-1`` as consecutive ranges of ``max(1, BLOCK_ELEMENTS // n)``."""
+    size = max(1, BLOCK_ELEMENTS // n)
+    return (range(start, min(start + size, reps)) for start in range(0, reps, size))
+
+
+def _fill(stream: Streams, reps: range, comp: int, dist: str, size: int) -> np.ndarray:
+    """Unit-variance draws of ``dist``, one row per replication: row k is stream (reps[k], comp)."""
+    z = np.empty((len(reps), size))
+    for row, rep in zip(z, reps):
+        rng = stream(rep, comp)
+        if dist == "gaussian":
+            rng.standard_normal(out=row)
+        elif dist == "centered-exponential":
+            rng.standard_exponential(out=row)
+        else:
+            row[:] = rng.integers(0, 2, size=size)
     if dist == "centered-exponential":
-        return rng.standard_exponential(size) - 1.0
-    return rng.integers(0, 2, size=size) * 2.0 - 1.0
+        z -= 1.0
+    elif dist == "rademacher":
+        z *= 2.0
+        z -= 1.0
+    return z
 
 
 class _Component(NamedTuple):
@@ -262,17 +279,18 @@ def structure(spec: DgpSpec):
     )
 
 
-def draw(spec: DgpSpec, rep: int = 0, streams: Streams | None = None) -> np.ndarray:
-    """One replication of the outcome vector, a fresh array. Deterministic in (seed, rep).
+def draws(spec: DgpSpec, reps: range, streams: Streams | None = None) -> np.ndarray:
+    """Replications ``reps`` of the outcome vector, one per row of a fresh C-ordered array.
 
-    A study passes one ``Streams(spec.seed)`` to every replication; without
-    it, ``draw`` builds its own, with the same result.
+    Row k is deterministic in (seed, reps[k]) and does not depend on the other
+    rows. A study passes one ``Streams(spec.seed)`` to every block; without it,
+    ``draws`` builds its own, with the same result.
     """
     stream = _streams_for(spec.seed, streams)
     lay = _layout(spec)
 
     def effect(comp, dist, labels, scale, load):
-        x = (scale * _draw(stream(rep, comp), dist, scale.size))[labels]
+        x = np.take(scale * _fill(stream, reps, comp, dist, scale.size), labels, axis=1)
         return x if load is None else x * load
 
     if lay.factors:
@@ -280,11 +298,16 @@ def draw(spec: DgpSpec, rep: int = 0, streams: Streams | None = None) -> np.ndar
         return a * b
     terms = [effect(*c) for c in lay.components]
     if lay.noise is not None:
-        terms.append(lay.noise * _draw(stream(rep, COMP_EPS), spec.dist_eps, lay.g.size))
+        terms.append(lay.noise * _fill(stream, reps, COMP_EPS, spec.dist_eps, lay.g.size))
     x = terms[0] if lay.mean is None else lay.mean + terms[0]
     for term in terms[1:]:
         x += term
     return x
+
+
+def draw(spec: DgpSpec, rep: int = 0, streams: Streams | None = None) -> np.ndarray:
+    """One replication of the outcome vector, a fresh array: row 0 of ``draws`` over ``rep`` alone."""
+    return draws(spec, range(rep, rep + 1), streams)[0]
 
 
 def true_bias_term(oracle: MomentOracle) -> float:

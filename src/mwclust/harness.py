@@ -3,7 +3,9 @@
 Per-replication randomness is derived from (seed, replication id) with
 counter-based streams, so results are identical for any worker count and
 aggregation is order-independent. Each study draws all its streams from one
-``Streams`` helper.
+``Streams`` helper, and runs its replications in blocks (``dgp._blocks``):
+one array operation per block, with each replication's values those of a
+study run one replication at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from mwclust.clusters import ClusterScheme, NeighborhoodIndex, build_index
-from mwclust.dgp import DgpSpec, Streams, _streams_for, draw, structure
+from mwclust.dgp import DgpSpec, Streams, _blocks, _fill, _streams_for, draws, structure
 from mwclust.regression import RegressionData, Z_CRIT_95, intercept_only_slope
 
 # component ids 0..2 are used inside the dgp module for the outcome draws
@@ -58,6 +60,18 @@ def ks_statistic(samples) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+def _regression_draws(spec: DgpSpec, scheme: ClusterScheme, reps: range, stream: Streams):
+    """(D, Y) of replications ``reps`` of the regression target, one row per replication."""
+    g, h = scheme.labels
+    C_G, C_H = scheme.n_clusters
+    da = _fill(stream, reps, COMP_D_ALPHA, "gaussian", C_G)
+    dg = _fill(stream, reps, COMP_D_GAMMA, "gaussian", C_H)
+    nu = _fill(stream, reps, COMP_D_NOISE, "gaussian", g.size)
+    D = D_CLUSTER_SHARE * (np.take(da, g, axis=1) + np.take(dg, h, axis=1)) + nu
+    Y = THETA_TRUE * D + INTERCEPT_TRUE + draws(spec, reps, stream)
+    return D, Y
+
+
 def regression_replication(
     spec: DgpSpec, scheme: ClusterScheme, rep: int, streams: Streams | None = None
 ) -> RegressionData:
@@ -65,25 +79,19 @@ def regression_replication(
 
     The regressor has one component per G and per H cluster, so that
     clustering matters, plus idiosyncratic noise; all draws are keyed by
-    ``spec.seed`` and ``rep``, and come from ``streams`` as in ``draw``.
+    ``spec.seed`` and ``rep``, and come from ``streams`` as in ``draws``.
     """
     stream = _streams_for(spec.seed, streams)
-    g, h = scheme.labels
-    C_G, C_H = scheme.n_clusters
-    da = stream(rep, COMP_D_ALPHA).standard_normal(C_G)
-    dg = stream(rep, COMP_D_GAMMA).standard_normal(C_H)
-    nu = stream(rep, COMP_D_NOISE).standard_normal(g.size)
-    D = D_CLUSTER_SHARE * (da[g] + dg[h]) + nu
-    Y = THETA_TRUE * D + INTERCEPT_TRUE + draw(spec, rep, stream)
+    (D,), (Y,) = _regression_draws(spec, scheme, range(rep, rep + 1), stream)
     return RegressionData(
-        Y=Y, D=D, controls=np.ones((g.size, 1)), scheme=scheme, column_names=("d", "(intercept)")
+        Y=Y, D=D, controls=np.ones((D.size, 1)), scheme=scheme, column_names=("d", "(intercept)")
     )
 
 
-def _demeaned_pair_sum(W: np.ndarray, index: NeighborhoodIndex, ones: np.ndarray):
-    """(mean, pair sum of W - mean): ``cgm_demeaned`` on unit weights, bit for bit, without its objects."""
-    mean = (ones @ W[:, None] / W.size)[0]  # the gemv of ``weighted_mean``
-    return mean, index.pair_sum(W - mean)
+def _demeaned_pair_sums(W: np.ndarray, index: NeighborhoodIndex, ones: np.ndarray):
+    """Per row of the block W, (mean, pair sum of the row minus its mean): ``cgm_demeaned`` on unit weights."""
+    mean = np.matmul(ones, W[:, :, None])[:, 0] / W.shape[1]  # per row, the gemv of ``weighted_mean``
+    return mean, index.row_pair_sums(W - mean[:, None])
 
 
 def run_coverage(
@@ -114,26 +122,25 @@ def run_coverage(
     pivots = np.full(reps, np.nan)
     ratios = np.full(reps, np.nan)
     ones = np.ones(n)
-    for r in range(reps):
+    for block in _blocks(reps, n):
+        rows = slice(block.start, block.stop)
         if target == "mean":
-            W = draw(spec, r, streams)
-            pivots[r] = (W.sum() - mu_sum) / sigma_true
-            mean, q = _demeaned_pair_sum(W, index, ones)
-            ratios[r] = q / oracle.true_Q
-            if q < 0:
-                report.rejection_flags += 1
-            elif abs(mean - mu_bar) <= Z_CRIT_95 * math.sqrt(q) / n:
-                covered += 1
+            W = draws(spec, block, streams)
+            pivots[rows] = (W.sum(axis=1) - mu_sum) / sigma_true
+            mean, q = _demeaned_pair_sums(W, index, ones)
+            ratios[rows] = q / oracle.true_Q
+            flagged = q < 0
+            half_width = Z_CRIT_95 * np.sqrt(np.where(flagged, 0.0, q)) / n
+            hits = np.abs(mean - mu_bar) <= half_width
         else:
-            data = regression_replication(spec, scheme, r, streams)
-            theta, sigma_sq = intercept_only_slope(data.D, data.Y, index)
-            if sigma_sq <= 0:
-                report.rejection_flags += 1
-                continue
-            sigma = math.sqrt(sigma_sq)
-            pivots[r] = (theta - THETA_TRUE) / sigma
-            if theta - Z_CRIT_95 * sigma <= THETA_TRUE <= theta + Z_CRIT_95 * sigma:
-                covered += 1
+            D, Y = _regression_draws(spec, scheme, block, streams)
+            theta, sigma_sq = intercept_only_slope(D, Y, index)
+            flagged = sigma_sq <= 0
+            sigma = np.sqrt(np.where(flagged, 1.0, sigma_sq))
+            pivots[rows] = np.where(flagged, np.nan, (theta - THETA_TRUE) / sigma)
+            hits = (theta - Z_CRIT_95 * sigma <= THETA_TRUE) & (THETA_TRUE <= theta + Z_CRIT_95 * sigma)
+        report.rejection_flags += int(np.count_nonzero(flagged))
+        covered += int(np.count_nonzero(hits & ~flagged))
     report.coverage_95 = covered / reps
     report.coverage_mc_se = math.sqrt(report.coverage_95 * (1 - report.coverage_95) / reps)
     good = pivots[np.isfinite(pivots)]
@@ -164,10 +171,10 @@ def run_consistency(
             raise ValueError(f"true variance is not positive and finite at M={M}")
         ones = np.ones(scheme.n)
         ratios = np.empty(reps)
-        for r in range(reps):
-            W = draw(spec_m, r, streams)
-            q = _demeaned_pair_sum(W, index, ones)[1] if demean else index.pair_sum(W)
-            ratios[r] = q / oracle.true_Q
+        for block in _blocks(reps, scheme.n):
+            W = draws(spec_m, block, streams)
+            q = _demeaned_pair_sums(W, index, ones)[1] if demean else index.row_pair_sums(W)
+            ratios[block.start : block.stop] = q / oracle.true_Q
         report.trace.append(
             {
                 "M": int(M),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, NeighborhoodIndex, WeightedSample
+from mwclust.clusters import ClusterScheme, NeighborhoodIndex, WeightedSample, _row_dots
 from mwclust.variance import cgm_raw, smallest_eigenvalue
 
 # N(0,1) 97.5% quantile; no small-sample df adjustment.
@@ -256,21 +256,29 @@ def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) 
     )
 
 
-def intercept_only_slope(D: np.ndarray, Y: np.ndarray, index: NeighborhoodIndex) -> tuple[float, float]:
-    """(theta_hat, sigma_sq) of the residualized slope of ``_fit`` on D and an intercept, to rounding.
+def intercept_only_slope(
+    D: np.ndarray, Y: np.ndarray, index: NeighborhoodIndex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the B-by-n blocks D and Y, (theta_hat, sigma_sq) of the slope of D with an intercept.
 
-    Partialling out the intercept is demeaning, to Dt and Yt; ``_fit``'s rank
-    rule reads Dt'Dt <= ``RANK_LAMBDA_MIN`` D'D. sigma_sq is ``_slope_variance``
-    of the pair sum of the scores (Yt - theta Dt) Dt.
+    Each row's pair is the residualized slope of ``_fit`` and its pair-sum
+    variance, to rounding. Partialling out the intercept is demeaning, to Dt
+    and Yt; ``_fit``'s rank rule reads Dt'Dt <= ``RANK_LAMBDA_MIN`` D'D.
+    sigma_sq is ``_slope_variance`` of the pair sum of the scores
+    (Yt - theta Dt) Dt. Each row's values are those of that row alone; the
+    first row that fails raises.
     """
-    Dt = D - D.mean()
-    Yt = Y - Y.mean()
-    ssd = float(Dt @ Dt)
-    if not ssd > RANK_LAMBDA_MIN * float(D @ D):
-        raise SingularDesignError(NO_RESIDUAL_VARIATION)
-    theta = float(Dt @ Yt) / ssd
-    sigma_sq = _slope_variance(index.pair_sum((Yt - theta * Dt) * Dt), ssd)
-    if not np.isfinite(sigma_sq):
+    Dt = D - D.mean(axis=1, keepdims=True)
+    Yt = Y - Y.mean(axis=1, keepdims=True)
+    ssd = _row_dots(Dt, Dt)
+    singular = ~(ssd > RANK_LAMBDA_MIN * _row_dots(D, D))
+    with np.errstate(divide="ignore", invalid="ignore"):  # in rows that raise below
+        theta = _row_dots(Dt, Yt) / ssd
+        sigma_sq = _slope_variance(index.row_pair_sums((Yt - theta[:, None] * Dt) * Dt), ssd)
+    failed = singular | ~np.isfinite(sigma_sq)
+    if failed.any():
+        if singular[np.argmax(failed)]:
+            raise SingularDesignError(NO_RESIDUAL_VARIATION)
         raise FloatingPointError("slope variance overflows double precision")
     return theta, sigma_sq
 

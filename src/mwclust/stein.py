@@ -5,20 +5,24 @@ pair-sum-variance term; the Kolmogorov conversion is (2/pi)^(1/4) times
 the square root. True moments are required, so everything here is
 simulation-only and works off a moment oracle. Both terms sum over the
 pairs of the oracle's true dependence, a label pair, through its index.
+Both bounds are ratios that do not depend on the design's scale, so both
+are computed for x / sigma: no power of sigma can leave the double range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from mwclust.clusters import build_index
-from mwclust.dgp import DgpSpec, MomentOracle, Streams, draw, structure
+from mwclust.clusters import _row_dots, build_index
+from mwclust.dgp import DgpSpec, MomentOracle, Streams, _blocks, draws, structure
 
 _VAR_COEF = math.sqrt(2.0 / math.pi)
 _DK_COEF = (2.0 / math.pi) ** 0.25
+_PAIR_CHUNK = 2**20  # index pairs that ``_matches`` holds at a time
 
 
 @dataclass(frozen=True)
@@ -41,60 +45,144 @@ def kolmogorov_bound(d_W: float) -> float:
     return _DK_COEF * math.sqrt(d_W)
 
 
+def _matches(a: np.ndarray, b: np.ndarray, size: int):
+    """Chunks of about ``_PAIR_CHUNK`` index pairs (p, q) with ``a[p] == b[q]``, for ints in [0, size)."""
+    order = np.argsort(b, kind="stable")
+    count = np.bincount(b, minlength=size)
+    start = np.cumsum(count) - count  # where each value's run begins in b[order]
+    per = count[a]
+    ends = np.cumsum(per)
+    lo = 0
+    while lo < a.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        k = per[lo:hi]
+        p = np.repeat(np.arange(lo, hi), k)
+        q = order[np.repeat(start[a[lo:hi]] - (np.cumsum(k) - k), k) + np.arange(p.size)]
+        yield p, q
+        lo = hi
+
+
+def _label_sums(groups: np.ndarray, labels: np.ndarray, size: int, f: np.ndarray):
+    """S'F of one component as (group, label, sum of f) over its nonzero pairs, sorted by group then label."""
+    codes, inverse = np.unique(groups * size + labels, return_inverse=True)
+    return codes // size, codes % size, np.bincount(inverse, f)
+
+
+def _product(A1, A2, m: int, L1: int, L2: int) -> np.ndarray:
+    """A1'A2, L1-by-L2, of two ``_label_sums`` over the same m groups."""
+    (r1, j1, v1), (r2, j2, v2) = A1, A2
+    pairs = int(np.bincount(r1, minlength=m) @ np.bincount(r2, minlength=m))
+    if 8 * pairs > m * L1 * L2:  # dense enough that a matrix product costs less than its pairs
+        D1, D2 = np.zeros((m, L1)), np.zeros((m, L2))
+        D1[r1, j1] = v1
+        D2[r2, j2] = v2
+        return D1.T @ D2
+    P = np.zeros(L1 * L2)
+    for p, q in _matches(r1, r2, m):
+        P += np.bincount(j1[p] * L2 + j2[q], v1[p] * v2[q], L1 * L2)
+    return P.reshape(L1, L2)
+
+
+def _dependent_trace(oracle: MomentOracle) -> float:
+    """tr(BCBC) for x / sigma, B the 0/1 true dependence and C = FF' + diag(e) the covariance, from labels.
+
+    F has a column per label of each component and one nonzero per row and
+    component. B sums over G clusters and H clusters and subtracts the cells
+    (signs +, +, -); with A_d = S_d'F the sums of F per (group, label) of sum
+    d, F'BF = sum_d sign_d A_d'A_d and (BF)_i = sum_d sign_d A_d[group_d(i)].
+    Then tr(BCBC) = |F'BF|^2 + 2 sum_i e_i |(BF)_i|^2 + e'Be, from L-by-L
+    blocks and per-cell dots; no n-by-L array is formed.
+    """
+    lay = oracle._design
+    index = build_index(oracle.dependent)
+    (g, C_G), (h, C_H), (cell, n_cells) = index.groups
+    signs = (1.0, 1.0, -1.0)
+    root = math.sqrt(oracle.true_Q)
+    e = lay.row_var / oracle.true_Q
+    sizes = [c.scale.size for c in lay.components]
+    A = [
+        [_label_sums(a, c.labels, L, (c.scale / root)[c.labels] * c.loads) for a, _ in index.groups]
+        for c, L in zip(lay.components, sizes)
+    ]
+    # |F'BF|^2 from its blocks per pair of components; a block off the diagonal counts twice
+    term_F = 0.0
+    for c1, c2 in combinations_with_replacement(range(len(A)), 2):
+        P = sum(s * _product(A1, A2, m, sizes[c1], sizes[c2])
+                for s, A1, A2, (_, m) in zip(signs, A[c1], A[c2], index.groups))
+        term_F += (1.0 if c1 == c2 else 2.0) * float(np.vdot(P, P))
+    # sum_i e_i |(BF)_i|^2: the squared rows of each A_d, and the dots of the rows of two sums
+    # that an observation meets, whose e-weight is that of its cell
+    cell_g, cell_h = np.empty(n_cells, np.int64), np.empty(n_cells, np.int64)
+    cell_g[cell], cell_h[cell] = g, h
+    cell_keys = cell_g * C_H + cell_h  # increasing in the cell id
+    e_sums = [np.bincount(a, e, m) for a, m in index.groups]
+    term_e = 0.0
+    for L, A_c in zip(sizes, A):
+        for E, (r, _, v), (_, m) in zip(e_sums, A_c, index.groups):
+            term_e += float(E @ np.bincount(r, v * v, m))
+        A_G, A_H, A_cell = A_c
+        r, j, v = A_cell
+        for (r_d, j_d, v_d), of_cell in ((A_G, cell_g), (A_H, cell_h)):  # the cell's label in its G or H group
+            at = np.searchsorted(r_d * L + j_d, of_cell[r] * L + j)
+            term_e -= 2.0 * float(e_sums[2][r] @ (v * v_d[at]))
+        (r_g, j_g, v_g), (r_h, j_h, v_h) = A_G, A_H
+        for p, q in _matches(j_g, j_h, L):  # a label's G and H groups, kept where they meet in a cell
+            key = r_g[p] * C_H + r_h[q]
+            at = np.minimum(np.searchsorted(cell_keys, key), n_cells - 1)
+            met = cell_keys[at] == key
+            term_e += 2.0 * float(e_sums[2][at[met]] @ (v_g[p] * v_h[q])[met])
+    return term_F + 2.0 * term_e + float(e @ index.neighbor_sums(e))
+
+
 def _analytic(oracle: MomentOracle) -> BoundReport:
     if not oracle.gaussian:
         raise ValueError(
             "analytic bound requires Gaussian components; use the monte-carlo method"
         )
-    sigma_sq = oracle.true_Q
-    # odd moments of symmetric Gaussian components vanish identically
-    term_third = 0.0
-    if oracle.third_inner_sum is not None:
-        term_third = float(np.abs(oracle.third_inner_sum).sum()) / sigma_sq**1.5
-    # Gaussian fourth moments give Var(x'Bx) = 2 tr(BCBC), B the 0/1 true dependence; with
-    # C = FF' + diag(e) that trace is |F'BF|^2 + 2 sum_i e_i |(BF)_i|^2 + e'Be
-    F, e = oracle.cov_factor()
-    B = build_index(oracle.dependent).neighbor_sums
-    BF = B(F)
-    tr_BCBC = float(np.square(F.T @ BF).sum() + 2.0 * (e @ np.square(BF).sum(axis=1)) + e @ B(e))
-    term_var = _VAR_COEF * math.sqrt(2.0 * tr_BCBC) / sigma_sq
-    d_W = term_third + term_var
+    # odd moments of symmetric Gaussian components vanish identically, and
+    # Gaussian fourth moments give Var(x'Bx) = 2 tr(BCBC)
+    term_var = _VAR_COEF * math.sqrt(2.0 * _dependent_trace(oracle))
     return BoundReport(
-        term_third=term_third,
+        term_third=0.0,
         term_var=term_var,
-        d_W_bound=d_W,
-        d_K_bound=kolmogorov_bound(d_W),
+        d_W_bound=term_var,
+        d_K_bound=kolmogorov_bound(term_var),
         method="analytic",
     )
 
 
-def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
+def _replicate(spec: DgpSpec, oracle: MomentOracle, reps: int):
+    """For x / sigma, T = x'Bx per replication and the sums over replications of u and u^2, u = x (Bx)^2."""
     n = oracle.scheme.n
-    dependent_sums = build_index(oracle.dependent).neighbor_sums
-    sigma_sq = oracle.true_Q
+    index = build_index(oracle.dependent)
+    sigma = math.sqrt(oracle.true_Q)
     u_sum = np.zeros(n)
     u_sumsq = np.zeros(n)
     T = np.empty(reps)
     streams = Streams(spec.seed)
-    for r in range(reps):
-        x = draw(spec, r, streams) - oracle.mean
-        t = dependent_sums(x)
-        T[r] = float(x @ t)
-        u = x * t * t
-        u_sum += u
-        u_sumsq += u * u
+    for block in _blocks(reps, n):
+        x = (draws(spec, block, streams) - oracle.mean) / sigma
+        t = index.row_neighbor_sums(x)
+        T[block.start : block.stop] = _row_dots(x, t)
+        for u in x * t * t:  # in replication order
+            u_sum += u
+            u_sumsq += u * u
+    return T, u_sum, u_sumsq
+
+
+def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
+    T, u_sum, u_sumsq = _replicate(spec, oracle, reps)
     e = u_sum / reps
-    term_third = float(np.abs(e).sum()) / sigma_sq**1.5
+    term_third = float(np.abs(e).sum())
     var_u = np.maximum(u_sumsq / reps - e * e, 0.0)
-    se_third = math.sqrt(float(var_u.sum()) / reps) / sigma_sq**1.5
-    var_T = np.var(T, ddof=1)  # a numpy scalar: its square overflows to inf, a float's raises
+    se_third = math.sqrt(float(var_u.sum()) / reps)
+    var_T = float(np.var(T, ddof=1))
     centered = T - T.mean()
     m4 = float(np.mean(centered**4))
     se_var_T = math.sqrt(max(m4 - var_T**2, 0.0) / reps)
-    term_var = _VAR_COEF * math.sqrt(var_T) / sigma_sq
-    se_var = (
-        _VAR_COEF * se_var_T / (2.0 * math.sqrt(var_T)) / sigma_sq if var_T > 0 else 0.0
-    )
+    term_var = _VAR_COEF * math.sqrt(var_T)
+    se_var = _VAR_COEF * se_var_T / (2.0 * math.sqrt(var_T)) if var_T > 0 else 0.0
     d_W = term_third + term_var
     return BoundReport(
         term_third=term_third,
@@ -118,9 +206,8 @@ def wasserstein_bound(
     _, oracle = structure(spec)
     if oracle.true_Q <= 0:
         raise ValueError("design has zero variance; bound undefined")
-    with np.errstate(over="ignore"):  # sigma^3 divides the third-moment term
-        if not np.float64(oracle.true_Q) ** 1.5 < np.inf:
-            raise ValueError("design variance overflows double precision; bound undefined")
+    if not oracle.true_Q < math.inf:
+        raise ValueError("design variance overflows double precision; bound undefined")
     if method == "analytic":
         return _analytic(oracle)
     if method == "monte-carlo":

@@ -1182,7 +1182,10 @@ ORACLE_DIAGNOSE = {"dgp": {"variant": "additive-re", "M": 3}}
 
 
 class TestHugeScales:
-    """Finite but huge dgp scales exit 2 naming 'dgp', or 3 naming the report value; no NaN, Infinity or traceback."""
+    """Finite but huge dgp scales exit 0, 2 naming 'dgp', or 3 naming the report value; no NaN, Infinity or traceback.
+
+    A bound is computed for x / sigma, so it exits 0 whenever the design's variance is finite.
+    """
 
     @pytest.mark.parametrize(
         "command,cfg,scale,expected,names",
@@ -1192,15 +1195,19 @@ class TestHugeScales:
             ("simulate", CONSISTENCY, 1e200, 2, ["'dgp'", "'sweep'", "M=2", "finite"]),
             ("simulate", {**CONSISTENCY, "format": "csv"}, 1e200, 2, ["'dgp'", "'sweep'", "M=2"]),
             ("diagnose", ORACLE_DIAGNOSE, 1e200, 2, ["'dgp'", "overflows"]),
-            *(("bound", cfg, scale, 2, ["'dgp'", "overflows"])
+            *(("bound", cfg, scale, 0, []) if scale < 1e200 else ("bound", cfg, scale, 2, ["'dgp'", "overflows"])
               for cfg in (MC_BOUND, ANALYTIC_BOUND) for scale in (1e120, 1e150, 1e200, 1e300)),
-            ("bound", MC_BOUND, 1e40, 3, ["report value results.bounds[0].mc_se is not finite"]),
-            ("bound", ANALYTIC_BOUND, 1e100, 3, ["report value results.bounds[0].d_K_bound is not finite"]),
+            ("bound", MC_BOUND, 1e40, 0, []),
+            ("bound", ANALYTIC_BOUND, 1e100, 0, []),
         ],
     )
     def test_exit_code_and_strict_output(self, tmp_path, capsys, command, cfg, scale, expected, names):
         cfg = {**cfg, "dgp": {**cfg["dgp"], "sigma_eps": scale}}
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        if expected == 0:
+            assert (code, err) == (0, "")
+            json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+            return
         assert (code, out) == (expected, ""), err
         assert err.startswith("error: ") and "Traceback" not in err
         for name in names:
@@ -1218,6 +1225,37 @@ class TestHugeScales:
                  {"M": 3, "n": 9, "mean_var_ratio": float("nan"), "var_ratio_sd": float("inf"), "mc_se": 0.1}]
         with pytest.raises(FloatingPointError, match=r"results\.trace\[1\]\.mean_var_ratio is not finite"):
             cli._trace_csv(trace)
+
+
+class TestScaleFreeBounds:
+    """A bound is a ratio: one factor c on every dgp sigma exits 0 and leaves each bound field within 1e-12."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        variant=st.sampled_from(["additive-re", "iid-conservative"]),
+        method=st.sampled_from(["analytic", "monte-carlo"]),
+        M=st.integers(1, 3),
+        sigmas=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+        hetero=st.tuples(*[st.booleans()] * 3),
+        exponent=st.floats(-100.0, 100.0),
+    )
+    def test_fields_do_not_depend_on_a_common_scale(self, tmp_path, capsys, variant, method, M, sigmas, hetero, exponent):
+        effects = ("alpha", "gamma", "eps")
+        dgp = {"variant": variant, "M": M, "seed": 4, **{f"hetero_{k}": v for k, v in zip(effects, hetero)}}
+        if method == "monte-carlo":
+            dgp["dist_alpha"] = "centered-exponential"
+        bounds = []
+        for c in (1.0, 10.0**exponent):
+            cfg = {"dgp": {**dgp, **{f"sigma_{k}": s * c for k, s in zip(effects, sigmas)}}, "method": method, "reps": 20}
+            code, out, err = run_cli(["bound", "--config", write_config(tmp_path, cfg)], capsys)
+            assert (code, err) == (0, "")
+            bounds.append(json.loads(out, parse_constant=pytest.fail)["results"]["bounds"][0])
+        unit, scaled = bounds
+        for key in ("term_third", "term_var", "d_W_bound", "d_K_bound", "mc_se"):
+            if unit[key] is None:
+                assert scaled[key] is None
+            else:
+                assert abs(scaled[key] - unit[key]) <= 1e-12 * abs(unit[key]), key
 
 
 class TestOutputSettings:
@@ -1407,6 +1445,25 @@ class TestDiagnose:
         monkeypatch.setattr(cli, "_read_clustered", lambda *a: pytest.fail("file read"))
         code, out, err = run_cli(["diagnose", "--data", str(DATA), "--cluster", "g,h", "--d", "d"], capsys)
         assert (code, out, err) == (2, "", "error: diagnose --d requires --y, the outcome column\n")
+
+    @pytest.mark.parametrize("model", [["--y", "y"], ["--controls", "x1"], ["--y", "y", "--controls", "x1"]])
+    def test_outcome_or_controls_require_regressor(self, monkeypatch, capsys, model):
+        # they would change L_per_dim, so they are not dropped in silence; named before the file is read
+        monkeypatch.setattr(cli, "_read_clustered", lambda *a: pytest.fail("file read"))
+        code, out, err = run_cli(["diagnose", "--data", str(DATA), "--cluster", "g,h", *model], capsys)
+        flag = model[0]
+        assert (code, out, err) == (2, "", f"error: diagnose {flag} requires --d, the regressor-of-interest column\n")
+
+    def test_echo_holds_the_model(self, capsys):
+        data = ROOT / "data" / "firm_market_n400.csv"
+        base = ["diagnose", "--data", str(data), "--cluster", "firm,market"]
+        plain = check_report(run_cli(base, capsys)[1])
+        model = check_report(run_cli([*base, "--y", "y", "--d", "d", "--controls", "x1"], capsys)[1])
+        assert plain["config_echo"] == {
+            "data": str(data), "y": "", "d": "", "controls": "", "cluster": "firm,market", "weight": "",
+        }
+        assert model["config_echo"] == {**plain["config_echo"], "y": "y", "d": "d", "controls": "x1"}
+        assert model["results"]["L_per_dim"] != plain["results"]["L_per_dim"]
 
 
 class TestConsoleEntry:

@@ -133,9 +133,16 @@ def reference_labels(spec: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
+def cov_factor(oracle) -> tuple[np.ndarray, np.ndarray]:
+    """``(F, e)`` with covariance ``F @ F.T + diag(e)``: a dense column per label of each component."""
+    lay = oracle._design
+    F = (np.eye(c.scale.size)[c.labels] * c.scale * c.loads[:, None] for c in lay.components)
+    return np.hstack([np.empty((oracle.scheme.n, 0)), *F]), lay.row_var
+
+
 def dense_cov(oracle) -> np.ndarray:
     """The n-by-n covariance F F' + diag(e) from the oracle's low-rank factor."""
-    F, e = oracle.cov_factor()
+    F, e = cov_factor(oracle)
     return F @ F.T + np.diag(e)
 
 
@@ -260,7 +267,7 @@ class TestLayout:
                 assert oracle.third_inner_sum is None
             elif third is not None:  # the triple's is checked against enumeration
                 assert oracle.third_inner_sum.tobytes() == third.tobytes(), spec
-            got_F, got_e = oracle.cov_factor()
+            got_F, got_e = cov_factor(oracle)
             assert (got_F.shape, got_F.tobytes(), got_e.tobytes()) == (F.shape, F.tobytes(), e.tobytes()), spec
             assert oracle.gaussian is gaussian, spec
             assert oracle.dependent.dims == ("G", "H")
@@ -321,7 +328,7 @@ class TestCovFactor:
     )
     def test_cov_matches_dense_builder(self, spec):
         _, oracle = structure(spec)
-        F, e = oracle.cov_factor()
+        F, e = cov_factor(oracle)
         assert F.shape[0] == e.shape[0] == oracle.scheme.n
         assert F.shape[1] <= 2 * spec.M
         np.testing.assert_allclose(dense_cov(oracle), reference_cov(spec), rtol=1e-15, atol=0.0)

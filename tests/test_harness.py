@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mwclust import harness
+from mwclust import dgp, harness, stein
 from mwclust.cli import main
 from mwclust.clusters import NeighborhoodIndex, WeightedSample, build_index
 from mwclust.dgp import DgpSpec, Streams, draw, structure, true_bias_term
@@ -292,9 +293,10 @@ def reference_estimates(spec, reps, demean):
     """Per replication, (mean or None, q) from the estimator objects: ``cgm_demeaned`` or ``cgm_raw``."""
     scheme, _ = structure(spec)
     index = build_index(scheme)
+    streams = Streams(spec.seed)
     out = []
     for r in range(reps):
-        sample = WeightedSample(W=draw(spec, r)[:, None], omega=np.ones(scheme.n))
+        sample = WeightedSample(W=draw(spec, r, streams)[:, None], omega=np.ones(scheme.n))
         if demean:
             mean, est = cgm_demeaned(sample, index)
             out.append((mean[0], est.Q_hat[0, 0]))
@@ -303,16 +305,23 @@ def reference_estimates(spec, reps, demean):
     return out
 
 
-def reference_coverage_mean(spec, reps, seed):
-    """The mean-target study written per replication with the estimator objects."""
+def reference_pivots(spec, reps):
+    """Per replication, the standardized sum of the draws."""
+    _, oracle = structure(spec)
+    streams = Streams(spec.seed)
+    return [(draw(spec, r, streams).sum() - oracle.mean.sum()) / math.sqrt(oracle.true_Q) for r in range(reps)]
+
+
+def reference_coverage_mean(spec, reps, seed, estimates=None, pivots=None):
+    """The mean-target study written per replication with the estimator objects, or from their ``estimates``."""
     spec = replace(spec, seed=seed)
     scheme, oracle = structure(spec)
     n = scheme.n
     report = McReport(reps=reps, seed=seed)
-    sigma_true = math.sqrt(oracle.true_Q)
-    covered, pivots, ratios = 0, np.empty(reps), np.empty(reps)
-    for r, (mean, q) in enumerate(reference_estimates(spec, reps, demean=True)):
-        pivots[r] = (draw(spec, r).sum() - oracle.mean.sum()) / sigma_true
+    covered, ratios = 0, np.empty(reps)
+    estimates = reference_estimates(spec, reps, demean=True) if estimates is None else estimates[:reps]
+    pivots = np.array(reference_pivots(spec, reps) if pivots is None else pivots[:reps])
+    for r, (mean, q) in enumerate(estimates):
         ratios[r] = float(q) / oracle.true_Q
         if q < 0:
             report.rejection_flags += 1
@@ -320,30 +329,37 @@ def reference_coverage_mean(spec, reps, seed):
             covered += 1
     report.coverage_95 = covered / reps
     report.coverage_mc_se = math.sqrt(report.coverage_95 * (1 - report.coverage_95) / reps)
-    report.ks_pivot = ks_statistic(pivots)
+    if reps >= 2:
+        report.ks_pivot = ks_statistic(pivots)
     report.mean_var_ratio = float(ratios.mean())
-    report.var_ratio_sd = float(ratios.std(ddof=1))
+    report.var_ratio_sd = float(ratios.std(ddof=1)) if reps > 1 else 0.0
     return report
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every (mean, q) pair sum computed from here on, in order; mean is None for a raw pair sum."""
-    calls = []
-    pair_sum = NeighborhoodIndex.pair_sum
-    demeaned = harness._demeaned_pair_sum
+    """Every replication's (mean, q) pair sum computed by a study from here on, in order; mean is None for a raw one.
 
-    def recording_pair_sum(self, s):
-        calls.append([None, pair_sum(self, s)])
-        return calls[-1][1]
+    The studies sum a block of replications at a time, through ``row_pair_sums``
+    and ``harness._demeaned_pair_sums``; each block adds one entry per row.
+    """
+    calls = []
+    row_pair_sums = NeighborhoodIndex.row_pair_sums
+    demeaned = harness._demeaned_pair_sums
+
+    def recording_row_pair_sums(self, X):
+        q = row_pair_sums(self, X)
+        calls.extend([None, value] for value in q)
+        return q
 
     def recording_demeaned(W, index, ones):
         mean, q = demeaned(W, index, ones)
-        calls[-1][0] = mean
+        for call, value in zip(calls[len(calls) - len(q) :], mean):
+            call[0] = value
         return mean, q
 
-    monkeypatch.setattr(NeighborhoodIndex, "pair_sum", recording_pair_sum)
-    monkeypatch.setattr(harness, "_demeaned_pair_sum", recording_demeaned)
+    monkeypatch.setattr(NeighborhoodIndex, "row_pair_sums", recording_row_pair_sums)
+    monkeypatch.setattr(harness, "_demeaned_pair_sums", recording_demeaned)
     return calls
 
 
@@ -403,7 +419,7 @@ class TestInterceptOnlySlope:
         for r in range(40):
             data = regression_replication(spec, scheme, r)
             ref_theta, ref_sigma_sq = residualized_slope(data, index)
-            theta, sigma_sq = intercept_only_slope(data.D, data.Y, index)
+            (theta,), (sigma_sq,) = intercept_only_slope(data.D[None], data.Y[None], index)
             assert abs(theta - ref_theta) <= 1e-12 * abs(ref_theta), r
             assert abs(sigma_sq - ref_sigma_sq) <= 1e-12 * abs(ref_sigma_sq), r
             assert (sigma_sq <= 0) == (ref_sigma_sq <= 0), r
@@ -414,7 +430,7 @@ class TestInterceptOnlySlope:
         index = build_index(scheme)
         for r in range(10):
             data = regression_replication(spec, scheme, r)
-            assert intercept_only_slope(data.D, data.Y, index)[1] == 0.0
+            assert intercept_only_slope(data.D[None], data.Y[None], index)[1][0] == 0.0
         assert run_coverage(spec, target="regression-theta", reps=10, seed=0).rejection_flags == 10
 
     @pytest.mark.parametrize("D", [np.full(12, 2.5), np.full(12, 0.0), np.r_[1.0, np.full(11, 1.0 + 1e-12)]])
@@ -427,5 +443,126 @@ class TestInterceptOnlySlope:
         with pytest.raises(SingularDesignError) as fit_error:
             _fit(data)
         with pytest.raises(SingularDesignError) as closed_form_error:
-            intercept_only_slope(data.D, data.Y, index)
+            intercept_only_slope(data.D[None], data.Y[None], index)
         assert str(closed_form_error.value) == str(fit_error.value)
+
+
+@functools.lru_cache(maxsize=None)
+def edge_reference(design: str, demean: bool):
+    """``block_edges`` of a loop design at seed 5, and ``reference_estimates`` up to the last edge."""
+    spec = replace(LOOP_DESIGNS[design], seed=5)
+    edges = block_edges(spec)
+    return edges, reference_estimates(spec, edges[-1], demean)
+
+
+def block_edges(spec: DgpSpec) -> list[int]:
+    """Replication counts at the edges of the study blocks of ``spec``'s design: 1, B - 1, B, B + 1 and 2B + 3."""
+    B = max(1, dgp.BLOCK_ELEMENTS // structure(spec)[0].n)
+    return sorted({r for r in (1, B - 1, B, B + 1, 2 * B + 3) if r >= 1})
+
+
+def one_replication_slope(D, Y, index):
+    """(theta_hat, sigma_sq) of ``intercept_only_slope`` computed on one replication's n-vectors."""
+    Dt, Yt = D - D.mean(), Y - Y.mean()
+    ssd = float(Dt @ Dt)
+    theta = float(Dt @ Yt) / ssd
+    return theta, _slope_variance(index.pair_sum((Yt - theta * Dt) * Dt), ssd)
+
+
+def one_replication_moments(spec, counts):
+    """``stein._replicate`` written one replication at a time: T, and the sums of u and u^2 after each count."""
+    _, oracle = structure(spec)
+    neighbor_sums = build_index(oracle.dependent).neighbor_sums
+    sigma = math.sqrt(oracle.true_Q)
+    streams = Streams(spec.seed)
+    T, u_sum, u_sumsq = np.empty(max(counts)), np.zeros(oracle.scheme.n), np.zeros(oracle.scheme.n)
+    sums = {}
+    for r in range(max(counts)):
+        x = (draw(spec, r, streams) - oracle.mean) / sigma
+        t = neighbor_sums(x)
+        T[r] = float(x @ t)
+        u = x * t * t
+        u_sum += u
+        u_sumsq += u * u
+        if r + 1 in counts:
+            sums[r + 1] = (u_sum.tobytes(), u_sumsq.tobytes())
+    return T, sums
+
+
+class TestBlockEdges:
+    """At every edge of a block, each replication of a study has the bits of the one-replication reference."""
+
+    def test_blocks_partition_the_replications(self):
+        for n in (1, 6, 25, 2304, 2**14, 2**14 + 1):
+            B = max(1, dgp.BLOCK_ELEMENTS // n)
+            for reps in (1, 2 * B + 3):
+                blocks = list(dgp._blocks(reps, n))
+                assert [r for block in blocks for r in block] == list(range(reps))
+                assert [len(block) for block in blocks[:-1]] == [B] * (len(blocks) - 1)
+
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_draws_rows_are_single_draws(self, design):
+        spec = replace(LOOP_DESIGNS[design], seed=9)
+        reps = block_edges(spec)[-1]
+        block = dgp.draws(spec, range(2, reps))
+        assert block.flags.c_contiguous
+        for k, row in enumerate(block):
+            assert row.tobytes() == draw(spec, k + 2).tobytes(), k
+
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_coverage_mean(self, design, recorded):
+        spec = LOOP_DESIGNS[design]
+        edges, ref = edge_reference(design, True)
+        pivots = reference_pivots(replace(spec, seed=5), edges[-1])
+        for reps in edges:
+            recorded.clear()
+            report = run_coverage(spec, target="mean", reps=reps, seed=5)
+            assert_same_bits(recorded, ref[:reps])
+            assert report.to_dict() == reference_coverage_mean(spec, reps, 5, ref, pivots).to_dict(), reps
+
+    @pytest.mark.parametrize("demean", [False, True])
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_consistency(self, design, demean, recorded):
+        spec = LOOP_DESIGNS[design]
+        edges, ref = edge_reference(design, demean)
+        for reps in edges[1:]:  # the sweep's standard deviation needs two replications
+            recorded.clear()
+            (row,) = run_consistency(spec, [spec.M], reps=reps, seed=5, demean=demean).trace
+            assert_same_bits(recorded, ref[:reps])
+            ratios = np.array([q for _, q in ref[:reps]]) / structure(spec)[1].true_Q
+            assert (row["mean_var_ratio"], row["var_ratio_sd"]) == (float(ratios.mean()), float(ratios.std(ddof=1)))
+
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_slope(self, design, monkeypatch):
+        spec = replace(LOOP_DESIGNS[design], seed=3)
+        scheme, _ = structure(spec)
+        index = build_index(scheme)
+        edges = block_edges(spec)
+        streams = Streams(spec.seed)
+        ref = []
+        for r in range(edges[-1]):
+            data = regression_replication(spec, scheme, r, streams)
+            ref.append(one_replication_slope(data.D, data.Y, index))
+        study = []
+
+        def recording_slope(D, Y, index):
+            theta, sigma_sq = intercept_only_slope(D, Y, index)
+            study.extend(zip(theta, sigma_sq))
+            return theta, sigma_sq
+
+        monkeypatch.setattr(harness, "intercept_only_slope", recording_slope)
+        for reps in edges:
+            study.clear()
+            run_coverage(spec, target="regression-theta", reps=reps, seed=3)
+            assert np.array(study).tobytes() == np.array(ref[:reps]).tobytes(), reps
+
+    @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
+    def test_monte_carlo_moments(self, design):
+        spec = replace(LOOP_DESIGNS[design], seed=6)
+        _, oracle = structure(spec)
+        edges = block_edges(spec)
+        T_ref, sums = one_replication_moments(spec, edges)
+        for reps in edges:
+            T, u_sum, u_sumsq = stein._replicate(spec, oracle, reps)
+            assert T.tobytes() == T_ref[:reps].tobytes(), reps
+            assert (u_sum.tobytes(), u_sumsq.tobytes()) == sums[reps], reps

@@ -20,7 +20,7 @@ def test_removed_names_are_not_exported():
     for name in removed:
         assert name not in mwclust.__all__
         assert not hasattr(mwclust, name)
-    for attr in ("third_moment", "cov"):
+    for attr in ("third_moment", "cov", "cov_factor"):
         assert not hasattr(mwclust.MomentOracle, attr)
     assert "psd_projected" not in {f.name for f in fields(mwclust.VarianceEstimate)}
     assert "bias_term" not in {f.name for f in fields(mwclust.McReport)}

@@ -1,27 +1,26 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mwclust.dgp import DgpSpec, draw, structure
 from mwclust.stein import (
     BoundReport,
+    _dependent_trace,
     kolmogorov_bound,
     wasserstein_bound,
 )
+from test_dgp import cov_factor, dense_cov, layout_specs
 
 
 def dense_dependence(labels) -> np.ndarray:
     """The n-by-n 0/1 matrix of pairs that share a label of ``labels`` on either dimension."""
     g, h = labels.labels
     return ((g[:, None] == g[None, :]) | (h[:, None] == h[None, :])).astype(float)
-
-
-def dense_cov(oracle) -> np.ndarray:
-    """The n-by-n covariance F F' + diag(e) from the oracle's low-rank factor."""
-    F, e = oracle.cov_factor()
-    return F @ F.T + np.diag(e)
 
 
 def spec_id(spec: DgpSpec) -> str:
@@ -106,13 +105,15 @@ class TestAnalytic:
             (DgpSpec(variant="additive-re", M=64, hetero_alpha=True), "analytic"),
             (DgpSpec(variant="iid-conservative", M=64, hetero_alpha=True), "analytic"),
             # n = 3600, so one dense float matrix takes 104 MB. The triple's true
-            # dependence is not its scheme's when one-way; the Monte Carlo path
-            # sums over it with no n-by-n array (the analytic path holds an
-            # n-by-2M covariance factor, itself larger than the bound here)
+            # dependence is not its scheme's when one-way; both paths sum over it
+            # with no n-by-n array, and the analytic path with no n-by-2M factor
             (DgpSpec(variant="nonzero-mean-triple", M=1200), "monte-carlo"),
             (DgpSpec(variant="nonzero-mean-triple", M=1200, triple_one_way=True), "monte-carlo"),
+            (DgpSpec(variant="nonzero-mean-triple", M=1200), "analytic"),
+            (DgpSpec(variant="nonzero-mean-triple", M=1200, triple_one_way=True), "analytic"),
         ],
-        ids=["additive-re", "iid-conservative", "triple-two-way-monte-carlo", "triple-one-way-monte-carlo"],
+        ids=["additive-re", "iid-conservative", "triple-two-way-monte-carlo", "triple-one-way-monte-carlo",
+             "triple-two-way-analytic", "triple-one-way-analytic"],
     )
     def test_allocates_no_n_by_n_array(self, spec, method):
         n = structure(spec)[0].n
@@ -143,6 +144,37 @@ class TestAnalytic:
             for M in (4, 8, 16)
         ]
         assert bounds[0] > bounds[1] > bounds[2]
+
+
+LAYOUTS = list(layout_specs())
+
+
+class TestDependentTrace:
+    """The label-sparse tr(BCBC) against the dense n-by-n product of the moved covariance factor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.sampled_from(LAYOUTS),
+        M=st.integers(1, 4),
+        scales=st.tuples(*[st.sampled_from([0.0, 1e-3, 1.0]) | st.floats(0.05, 20.0)] * 3),
+    )
+    def test_matches_dense_reference(self, spec, M, scales):
+        spec = replace(spec, M=M, sigma_alpha=scales[0], sigma_gamma=scales[1], sigma_eps=scales[2])
+        _, oracle = structure(spec)
+        assume(oracle.true_Q > 0)
+        F, e = cov_factor(oracle)
+        B = dense_dependence(oracle.dependent)
+        C = (F @ F.T + np.diag(e)) / oracle.true_Q
+        dense = float(np.trace(B @ C @ B @ C))
+        assert abs(_dependent_trace(oracle) - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("one_way", [False, True])
+    def test_triple_closed_form(self, one_way):
+        # each block of three has covariance [[1,1,0],[1,2,1],[0,1,1]] and is its own dependence
+        # block but for the first and last members: tr(BCBC) = 50 M / (8 M)^2 for x / sigma
+        M = 1500
+        _, oracle = structure(DgpSpec(variant="nonzero-mean-triple", M=M, triple_one_way=one_way))
+        assert _dependent_trace(oracle) == pytest.approx(50.0 * M / (8.0 * M) ** 2, rel=1e-12)
 
 
 class TestMonteCarlo:
