@@ -6,11 +6,23 @@ aggregation is order-independent. Each study draws all its streams from one
 ``Streams`` helper, and runs its replications in blocks (``dgp._blocks``):
 one array operation per block, with each replication's values those of a
 study run one replication at a time, bit for bit.
+
+The coverage and consistency studies split their blocks over the usable
+CPUs (``_in_parts``): contiguous ranges of blocks, each but the first in a
+forked child. A block's values depend only on its replications, and the
+parent joins them in replication order, so a report has the same bytes for
+any number of CPUs. The Monte Carlo bound (``stein._replicate``) stays in
+one process: its sums over replications run in replication order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -94,6 +106,88 @@ def _demeaned_pair_sums(W: np.ndarray, index: NeighborhoodIndex, ones: np.ndarra
     return mean, index.row_pair_sums(W - mean[:, None])
 
 
+# a study of fewer blocks runs in-process: a fork and the pages its child copies cost 2-4 ms,
+# a few blocks on the benchmark's designs
+MIN_FORKED_BLOCKS = 8
+
+
+def _part_count(blocks: int) -> int:
+    """Ranges to cut ``blocks`` blocks into: one per usable CPU, or 1 where a fork is out."""
+    if blocks < MIN_FORKED_BLOCKS or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1  # a child gets only the calling thread: a lock that another thread holds would stay held
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def _fork(fn, blocks: list) -> tuple[int, int]:
+    """(pid, read end of a pipe) of a child that pickles ``(True, [fn(b) for b in blocks])`` or ``(False, exc)``."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():  # Python 3.12+ warns of a BLAS thread pool; a warning must not lose the pid
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                payload = (True, [fn(block) for block in blocks])
+            except BaseException as exc:
+                payload = (False, exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)  # no cleanup of the parent's state: no atexit, no flush of its buffers
+    os.close(write)
+    return pid, read
+
+
+def _in_parts(fn, blocks: list) -> list:
+    """``[fn(block) for block in blocks]``, contiguous ranges of the blocks run at once in forked children.
+
+    Range 0 runs in the caller, each other range in a child (``_fork``), and
+    the results are joined in range order, so the first failure in block
+    order is raised. A fork that fails leaves its range and the later ones to
+    the caller. Every child is reaped; a child still running when the caller
+    unwinds is killed first. A child is forked, not spawned: it inherits
+    ``fn`` and the study's arrays, where a spawned one would import numpy
+    again, which takes longer than most studies.
+    """
+    parts = _part_count(len(blocks))
+    edges = [len(blocks) * k // parts for k in range(parts + 1)]
+    children = []  # (pid, pipe) per forked range, in range order
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            try:
+                pid, read = _fork(fn, blocks[lo:hi])
+            except OSError:  # no memory or process slot for a child: the caller runs the rest
+                break
+            children.append((pid, open(read, "rb")))
+        out = [fn(block) for block in blocks[: edges[1]]]
+        for pid, pipe in children:
+            try:
+                ok, value = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"replication worker {pid} ended without a result") from None
+            if not ok:
+                raise value
+            out += value
+        return out + [fn(block) for block in blocks[edges[1 + len(children)] :]]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                pass
+
+
 def run_coverage(
     spec: DgpSpec, target: str = "mean", reps: int = 2000, seed: int = 0
 ) -> McReport:
@@ -118,17 +212,15 @@ def run_coverage(
     sigma_true = math.sqrt(oracle.true_Q)
     mu_sum = oracle.mean.sum()
     mu_bar = float(oracle.mean.mean())
-    covered = 0
-    pivots = np.full(reps, np.nan)
-    ratios = np.full(reps, np.nan)
     ones = np.ones(n)
-    for block in _blocks(reps, n):
-        rows = slice(block.start, block.stop)
+
+    def block_values(block):
+        """(pivots, variance ratios, flagged count, covered count) of one block; no ratios for the slope."""
         if target == "mean":
             W = draws(spec, block, streams)
-            pivots[rows] = (W.sum(axis=1) - mu_sum) / sigma_true
+            pivots = (W.sum(axis=1) - mu_sum) / sigma_true
             mean, q = _demeaned_pair_sums(W, index, ones)
-            ratios[rows] = q / oracle.true_Q
+            ratios = q / oracle.true_Q
             flagged = q < 0
             half_width = Z_CRIT_95 * np.sqrt(np.where(flagged, 0.0, q)) / n
             hits = np.abs(mean - mu_bar) <= half_width
@@ -137,11 +229,15 @@ def run_coverage(
             theta, sigma_sq = intercept_only_slope(D, Y, index)
             flagged = sigma_sq <= 0
             sigma = np.sqrt(np.where(flagged, 1.0, sigma_sq))
-            pivots[rows] = np.where(flagged, np.nan, (theta - THETA_TRUE) / sigma)
+            pivots = np.where(flagged, np.nan, (theta - THETA_TRUE) / sigma)
+            ratios = np.empty(0)
             hits = (theta - Z_CRIT_95 * sigma <= THETA_TRUE) & (THETA_TRUE <= theta + Z_CRIT_95 * sigma)
-        report.rejection_flags += int(np.count_nonzero(flagged))
-        covered += int(np.count_nonzero(hits & ~flagged))
-    report.coverage_95 = covered / reps
+        return pivots, ratios, int(np.count_nonzero(flagged)), int(np.count_nonzero(hits & ~flagged))
+
+    pivots, ratios, flagged, covered = zip(*_in_parts(block_values, list(_blocks(reps, n))))
+    pivots, ratios = np.concatenate(pivots), np.concatenate(ratios)
+    report.rejection_flags = sum(flagged)
+    report.coverage_95 = sum(covered) / reps
     report.coverage_mc_se = math.sqrt(report.coverage_95 * (1 - report.coverage_95) / reps)
     good = pivots[np.isfinite(pivots)]
     if good.size >= 2:
@@ -160,25 +256,36 @@ def run_consistency(
     seed: int = 0,
     demean: bool = False,
 ) -> McReport:
-    """Trace the variance-estimate-to-truth ratio over growing cluster counts."""
+    """Trace the variance-estimate-to-truth ratio over growing cluster counts.
+
+    The blocks of the whole sweep are split over the CPUs as one list, grid
+    size by grid size.
+    """
     report = McReport(reps=reps, seed=seed)
     streams = Streams(seed)
+    designs = []  # (spec, n, index, true variance, ones) per grid size
     for M in n_sweep:
         spec_m = replace(spec, M=int(M), seed=seed)
         scheme, oracle = structure(spec_m)
-        index = build_index(scheme)
         if not 0 < oracle.true_Q < math.inf:
             raise ValueError(f"true variance is not positive and finite at M={M}")
-        ones = np.ones(scheme.n)
-        ratios = np.empty(reps)
-        for block in _blocks(reps, scheme.n):
-            W = draws(spec_m, block, streams)
-            q = _demeaned_pair_sums(W, index, ones)[1] if demean else index.row_pair_sums(W)
-            ratios[block.start : block.stop] = q / oracle.true_Q
+        designs.append((spec_m, scheme.n, build_index(scheme), oracle.true_Q, np.ones(scheme.n)))
+
+    def block_ratios(item):
+        k, block = item
+        spec_m, _, index, true_Q, ones = designs[k]
+        W = draws(spec_m, block, streams)
+        q = _demeaned_pair_sums(W, index, ones)[1] if demean else index.row_pair_sums(W)
+        return q / true_Q
+
+    work = [(k, block) for k, design in enumerate(designs) for block in _blocks(reps, design[1])]
+    done = _in_parts(block_ratios, work)
+    for k, (spec_m, n, *_) in enumerate(designs):
+        ratios = np.concatenate([r for (j, _), r in zip(work, done) if j == k])
         report.trace.append(
             {
-                "M": int(M),
-                "n": scheme.n,
+                "M": spec_m.M,
+                "n": n,
                 "mean_var_ratio": float(ratios.mean()),
                 "var_ratio_sd": float(ratios.std(ddof=1)),
                 "mc_se": float(ratios.std(ddof=1) / math.sqrt(reps)),

@@ -23,6 +23,7 @@ from mwclust.dgp import DgpSpec, MomentOracle, Streams, _blocks, draws, structur
 _VAR_COEF = math.sqrt(2.0 / math.pi)
 _DK_COEF = (2.0 / math.pi) ** 0.25
 _PAIR_CHUNK = 2**20  # index pairs that ``_matches`` holds at a time
+_SIGNS = (1.0, 1.0, -1.0)  # of the G, H and cell sums in the true dependence B
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,47 @@ def _label_sums(groups: np.ndarray, labels: np.ndarray, size: int, f: np.ndarray
     return codes // size, codes % size, np.bincount(inverse, f)
 
 
-def _product(A1, A2, m: int, L1: int, L2: int) -> np.ndarray:
-    """A1'A2, L1-by-L2, of two ``_label_sums`` over the same m groups."""
+def _pair_terms(A1, A2, m: int, L2: int):
+    """Chunks of the terms of A1'A2 over the pairs of two ``_label_sums``: (flat index j1 * L2 + j2, v1 v2)."""
     (r1, j1, v1), (r2, j2, v2) = A1, A2
-    pairs = int(np.bincount(r1, minlength=m) @ np.bincount(r2, minlength=m))
+    for p, q in _matches(r1, r2, m):
+        yield j1[p] * L2 + j2[q], v1[p] * v2[q]
+
+
+def _product(A1, A2, m: int, L1: int, L2: int, pairs: int) -> np.ndarray:
+    """A1'A2, L1-by-L2, of two ``_label_sums`` over the same m groups that meet in ``pairs`` pairs."""
     if 8 * pairs > m * L1 * L2:  # dense enough that a matrix product costs less than its pairs
+        (r1, j1, v1), (r2, j2, v2) = A1, A2
         D1, D2 = np.zeros((m, L1)), np.zeros((m, L2))
         D1[r1, j1] = v1
         D2[r2, j2] = v2
         return D1.T @ D2
     P = np.zeros(L1 * L2)
-    for p, q in _matches(r1, r2, m):
-        P += np.bincount(j1[p] * L2 + j2[q], v1[p] * v2[q], L1 * L2)
+    for codes, terms in _pair_terms(A1, A2, m, L2):
+        P += np.bincount(codes, terms, L1 * L2)
     return P.reshape(L1, L2)
+
+
+def _signed_norm(A1s, A2s, groups, L1: int, L2: int) -> float:
+    """|sum_d sign_d A1_d'A2_d|^2 over the G, H and cell sums (signs +, +, -) of two components.
+
+    When the pairs are few against the L1-by-L2 block, the sum is formed over
+    the distinct flat indices of their terms only.
+    """
+    counts = [np.bincount(A1[0], minlength=m) @ np.bincount(A2[0], minlength=m)
+              for A1, A2, (_, m) in zip(A1s, A2s, groups)]
+    if 4 * sum(counts) < L1 * L2:  # the block would outweigh the pairs' indices and terms
+        codes, terms = [np.empty(0, np.int64)], [np.empty(0)]
+        for s, A1, A2, (_, m) in zip(_SIGNS, A1s, A2s, groups):
+            for c, t in _pair_terms(A1, A2, m, L2):
+                codes.append(c)
+                terms.append(s * t)
+        _, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+        P = np.bincount(inverse, np.concatenate(terms))
+    else:
+        P = sum(s * _product(A1, A2, m, L1, L2, int(k))
+                for s, A1, A2, (_, m), k in zip(_SIGNS, A1s, A2s, groups, counts))
+    return float(np.vdot(P, P))
 
 
 def _dependent_trace(oracle: MomentOracle) -> float:
@@ -97,7 +126,6 @@ def _dependent_trace(oracle: MomentOracle) -> float:
     lay = oracle._design
     index = build_index(oracle.dependent)
     (g, C_G), (h, C_H), (cell, n_cells) = index.groups
-    signs = (1.0, 1.0, -1.0)
     root = math.sqrt(oracle.true_Q)
     e = lay.row_var / oracle.true_Q
     sizes = [c.scale.size for c in lay.components]
@@ -108,9 +136,7 @@ def _dependent_trace(oracle: MomentOracle) -> float:
     # |F'BF|^2 from its blocks per pair of components; a block off the diagonal counts twice
     term_F = 0.0
     for c1, c2 in combinations_with_replacement(range(len(A)), 2):
-        P = sum(s * _product(A1, A2, m, sizes[c1], sizes[c2])
-                for s, A1, A2, (_, m) in zip(signs, A[c1], A[c2], index.groups))
-        term_F += (1.0 if c1 == c2 else 2.0) * float(np.vdot(P, P))
+        term_F += (1.0 if c1 == c2 else 2.0) * _signed_norm(A[c1], A[c2], index.groups, sizes[c1], sizes[c2])
     # sum_i e_i |(BF)_i|^2: the squared rows of each A_d, and the dots of the rows of two sums
     # that an observation meets, whose e-weight is that of its cell
     cell_g, cell_h = np.empty(n_cells, np.int64), np.empty(n_cells, np.int64)

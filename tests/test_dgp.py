@@ -13,6 +13,7 @@ from mwclust.dgp import (
     VARIANTS,
     DgpSpec,
     Streams,
+    _fill,
     draw,
     structure,
     true_bias_term,
@@ -489,6 +490,15 @@ class TestStreams:
                 got = reference_component(streams(rep, comp), dist, size)
                 ref = reference_component(fresh_stream(seed, rep, comp), dist, size)
                 assert got.tobytes() == ref.tobytes(), (seed, rep, comp, dist, size)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 16, 17, 256])
+    def test_rademacher_rows_are_the_integers_draws(self, size):
+        # _fill reads the raw words instead of calling Generator.integers(0, 2, size): same values, odd or even size
+        for seed, first in ((0, 0), (11, 5), (2**40 + 3, 2**33 - 2)):
+            block = _fill(Streams(seed), range(first, first + 3), COMP_EPS, "rademacher", size)
+            for rep, row in zip(range(first, first + 3), block):
+                ref = fresh_stream(seed, rep, COMP_EPS).integers(0, 2, size)
+                assert row.tobytes() == (2.0 * ref - 1.0).tobytes(), (seed, rep)
 
     def test_stream_continues_like_a_fresh_generator(self):
         # several draws from one stream, then a reset to the same stream

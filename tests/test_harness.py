@@ -1,6 +1,9 @@
 import functools
 import json
 import math
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -566,3 +569,182 @@ class TestBlockEdges:
             T, u_sum, u_sumsq = stein._replicate(spec, oracle, reps)
             assert T.tobytes() == T_ref[:reps].tobytes(), reps
             assert (u_sum.tobytes(), u_sumsq.tobytes()) == sums[reps], reps
+
+
+# designs of the split tests: enough blocks that a study forks when more than one CPU is usable
+SPLIT_STUDIES = {
+    # additive-re at M = 20 is n = 400: blocks of 40 replications, 10 of them
+    "coverage-mean": lambda: run_coverage(
+        DgpSpec(variant="additive-re", M=20, hetero_alpha=True), target="mean", reps=400, seed=4
+    ),
+    "coverage-theta": lambda: run_coverage(
+        DgpSpec(variant="additive-re", M=20, dist_eps="rademacher"), target="regression-theta", reps=400, seed=4
+    ),
+    # 5 blocks at M = 20 and 8 at M = 24; the triple, 8 at M = 200 and 12 at M = 300
+    "consistency": lambda: run_consistency(DgpSpec(variant="additive-re"), [20, 24], reps=200, seed=4),
+    "consistency-demeaned": lambda: run_consistency(
+        DgpSpec(variant="nonzero-mean-triple"), [200, 300], reps=200, seed=4, demean=True
+    ),
+}
+
+
+def usable_cpus(monkeypatch, count: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked from here on; every test that uses it ends with none left unreaped."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def report_bytes(study: str) -> str:
+    return json.dumps(SPLIT_STUDIES[study]().to_dict())
+
+
+class TestSplitOverCpus:
+    """A study's report has the same bytes however many CPUs its blocks are split over."""
+
+    @pytest.mark.parametrize("study", sorted(SPLIT_STUDIES))
+    def test_report_is_the_same_for_one_and_three_parts(self, study, monkeypatch, forks):
+        usable_cpus(monkeypatch, 1)
+        serial = report_bytes(study)
+        assert forks == []
+        usable_cpus(monkeypatch, 3)
+        assert report_bytes(study) == serial
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("blocks", [8, 9, 10, 23])
+    def test_contiguous_ranges_come_back_in_block_order(self, blocks, monkeypatch, forks):
+        usable_cpus(monkeypatch, 3)
+        out = harness._in_parts(lambda block: (block, os.getpid()), list(range(blocks)))
+        assert [block for block, _ in out] == list(range(blocks))
+        first, second = blocks // 3, 2 * blocks // 3
+        assert [pid for _, pid in out] == (
+            [os.getpid()] * first + [forks[0]] * (second - first) + [forks[1]] * (blocks - second)
+        )
+
+    def test_fewer_blocks_than_the_minimum_stay_in_process(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 3)
+        assert harness._in_parts(lambda block: block, list(range(harness.MIN_FORKED_BLOCKS - 1))) == list(range(7))
+        assert forks == []
+
+    @pytest.mark.parametrize("study", sorted(SPLIT_STUDIES))
+    @pytest.mark.parametrize("why", ["fork fails", "one usable cpu", "another thread"])
+    def test_no_fork_gives_the_same_report(self, study, why, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        serial = report_bytes(study)
+        attempts = []
+
+        def failing_fork():
+            attempts.append(1)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        usable_cpus(monkeypatch, 1 if why == "one usable cpu" else 3)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if why == "another thread":
+            other.start()
+        try:
+            assert report_bytes(study) == serial
+        finally:
+            stop.set()
+        if why == "another thread":
+            other.join(timeout=10)
+            assert not other.is_alive()
+        assert len(attempts) == (1 if why == "fork fails" else 0)
+
+    def test_a_fork_that_fails_partway_leaves_the_rest_to_the_caller(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 4)
+        fork = os.fork  # the fixture's, which records the pid
+        calls = []
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert harness._in_parts(lambda block: -block, list(range(12))) == [-b for b in range(12)]
+        assert len(forks) == 1 and len(calls) == 2
+
+
+class TestFailuresInParts:
+    # additive-re at M = 20: 10 blocks of 40; with 3 parts, ranges of blocks 0-2, 3-5 and 6-9
+    SPEC = DgpSpec(variant="additive-re", M=20)
+
+    def test_singular_design_in_a_child_reaches_the_cli(self, tmp_path, monkeypatch, capsys, forks):
+        cfg = tmp_path / "theta.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"variant": "additive-re", "M": 20}, "mode": "coverage", "target": "regression-theta",
+            "reps": 400, "seed": 2,
+        }))
+        regression_draws = harness._regression_draws
+
+        def constant_late(spec, scheme, reps, stream):
+            D, Y = regression_draws(spec, scheme, reps, stream)
+            if reps.start >= 200:
+                D[:] = 2.5
+            return D, Y
+
+        monkeypatch.setattr(harness, "_regression_draws", constant_late)
+        outcomes = []
+        for cpus in (1, 3):
+            usable_cpus(monkeypatch, cpus)
+            code = main(["simulate", "--config", str(cfg)])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, (out, err) = outcomes[0]
+        assert (code, out) == (3, "")
+        assert err == "error: regressor of interest has no residual variation after partialling out controls\n"
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_earliest_replication_fails_first(self, cpus, monkeypatch, forks):
+        draws_ = harness.draws
+
+        def failing_draws(spec, reps, streams=None):
+            if 150 in reps:  # block 3, the first of the middle range
+                raise SingularDesignError("middle range")
+            if 300 in reps:  # block 7, in the last range
+                raise FloatingPointError("last range")
+            return draws_(spec, reps, streams)
+
+        monkeypatch.setattr(harness, "draws", failing_draws)
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(SingularDesignError, match="middle range"):
+            run_coverage(self.SPEC, reps=400, seed=1)
+        assert len(forks) == cpus - 1
+
+    def test_a_failure_in_the_caller_kills_the_children(self, monkeypatch, forks):
+        # the children's ranges would sleep for a minute; the caller's first block fails at once
+        draws_ = harness.draws
+
+        def slow_draws(spec, reps, streams=None):
+            if reps.start == 0:
+                raise FloatingPointError("first block")
+            if reps.start >= 120:
+                time.sleep(60)
+            return draws_(spec, reps, streams)
+
+        monkeypatch.setattr(harness, "draws", slow_draws)
+        usable_cpus(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(FloatingPointError, match="first block"):
+            run_coverage(self.SPEC, reps=400, seed=1)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 2

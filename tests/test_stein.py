@@ -125,6 +125,20 @@ class TestAnalytic:
             tracemalloc.stop()
         assert peak < 8 * n * n / 2  # half of one dense float matrix
 
+    @pytest.mark.parametrize("one_way", [False, True])
+    def test_triple_forms_no_label_block(self, one_way):
+        # F'BF has about 4M nonzeros, against M^2 entries in an L-by-L block of the triple's L = M labels
+        M = 1500
+        spec = DgpSpec(variant="nonzero-mean-triple", M=M, triple_one_way=one_way)
+        structure(spec)  # the layout is cached; its arrays are not the bound's
+        tracemalloc.start()
+        try:
+            wasserstein_bound(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * M * M / 4
+
     def test_reaches_n_16384(self):
         # a dense n-by-n matrix at M=128 would take 2 GB
         coarse, fine = (
