@@ -200,19 +200,14 @@ class NeighborhoodIndex:
         cluster (or cell) and the trailing shape of ``x``.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return [np.bincount(lab, weights=x, minlength=m) for lab, m in self.groups]
-        if x.shape[1] == 1:  # the same bincount, without the transposing copy and the filling one
-            return [np.bincount(lab, weights=x[:, 0], minlength=m)[:, None] for lab, m in self.groups]
-        # one transposing copy, not one strided copy per column; none for a K-by-n C-ordered
-        # array's transpose, the layout the pair-sum callers pass
-        cols = np.ascontiguousarray(x.T)
+        # a row per column, one copy at most: none for a vector, an n-by-1 array or the pair-sum callers' K-by-n.T
+        cols = np.ascontiguousarray(x.T).reshape(-1, len(x))
         sums = []
         for lab, m in self.groups:
             s = np.empty((m, cols.shape[0]))
             for j, col in enumerate(cols):
                 s[:, j] = np.bincount(lab, weights=col, minlength=m)
-            sums.append(s)
+            sums.append(s[:, 0] if x.ndim == 1 else s)
         return sums
 
     def pair_sum(self, s):

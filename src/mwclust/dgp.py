@@ -4,9 +4,10 @@ Each variant is one table of cluster-level components, from which ``draws``
 and the oracle read: exact means, the exact variance of the weighted sum,
 the true pairwise dependence as a pair of cluster labels and closed-form
 third moments (not for the product design). Replication streams are
-counter-based so parallel generation is replication-stable; a study draws
-every stream from one ``Streams`` generator whose counter it resets, one
-block of replications at a time.
+counter-based so parallel generation is replication-stable: a study fills
+every stream from one ``Streams`` helper (``Streams.fill``), one block of
+replications at a time. ``draws`` is the one function that takes a helper;
+``draw`` builds its own.
 """
 
 from __future__ import annotations
@@ -104,17 +105,14 @@ def _schedule(base: float, count: int, hetero: bool) -> np.ndarray:
 class Streams:
     """Counter-based Philox streams of one seed, all drawn from one generator.
 
-    ``streams(rep, comp)`` returns the shared generator in the state of a
-    freshly built ``Philox(key=seed, counter=[0, 0, rep, comp])``, so it draws
-    that stream bit for bit, for a fraction of the cost of building one. The
-    whole fresh state is restored, not the counter alone: a draw can leave a
-    buffered word or a cached 32-bit half behind. Each call resets the same
-    generator, so draw from one stream before asking for the next, and do not
-    share a helper between threads (the package starts none). The coverage
-    and consistency studies fork: each child draws from its own copy of the
-    helper, and since every stream is fixed by (seed, rep, comp) alone, a
-    replication's draws are the same bytes whichever process and however
-    many CPUs make them.
+    For each row, ``fill`` resets the shared generator to the whole state of a
+    freshly built ``Philox(key=seed, counter=[0, 0, rep, comp])``, buffered word
+    and cached 32-bit half included, and fills the row from it: that stream
+    bit for bit, for a fraction of the cost of building one. No caller holds
+    the generator, so none can draw from it across a reset. Do not share a
+    helper between threads (the package starts none); the children of a forked
+    study each fill from their own copy, and since every stream is fixed by
+    (seed, rep, comp) alone, a replication has the same bytes in any process.
     """
 
     def __init__(self, seed: int):
@@ -124,20 +122,26 @@ class Streams:
         self._fresh = self._bits.state  # empty buffer, no cached half word
         self._counter = self._fresh["state"]["counter"]
 
-    def __call__(self, rep: int, comp: int) -> np.random.Generator:
-        self._counter[2] = rep
-        self._counter[3] = comp
-        self._bits.state = self._fresh
-        return self._rng
-
-
-def _streams_for(seed: int, streams: Streams | None) -> Streams:
-    """``streams``, or a new helper when it is None; raises ValueError on a helper of another seed."""
-    if streams is None:
-        return Streams(seed)
-    if streams.seed != seed:
-        raise ValueError(f"stream helper has seed {streams.seed}, the design has seed {seed}")
-    return streams
+    def fill(self, reps: range, comp: int, dist: str, size: int) -> np.ndarray:
+        """Unit-variance draws of ``dist``, one row per replication: row k is stream (reps[k], comp)."""
+        bits, rng, fresh, counter = self._bits, self._rng, self._fresh, self._counter
+        z = np.empty((len(reps), size))
+        for row, rep in zip(z, reps):
+            counter[2], counter[3] = rep, comp
+            bits.state = fresh
+            if dist == "gaussian":
+                rng.standard_normal(out=row)
+            elif dist == "centered-exponential":
+                rng.standard_exponential(out=row)
+            else:  # rng.integers(0, 2, size) at a third of its cost: the top bit of each 32-bit half, low half first
+                words = bits.random_raw((size + 1) // 2).astype("<u8", copy=False)
+                row[:] = (words.view("<u4") >> 31)[:size]
+        if dist == "centered-exponential":
+            z -= 1.0
+        elif dist == "rademacher":
+            z *= 2.0
+            z -= 1.0
+        return z
 
 
 # replications per block: B * n stays near this many elements, where numpy's per-call cost
@@ -149,26 +153,6 @@ def _blocks(reps: int, n: int):
     """The replications ``0..reps-1`` as consecutive ranges of ``max(1, BLOCK_ELEMENTS // n)``."""
     size = max(1, BLOCK_ELEMENTS // n)
     return (range(start, min(start + size, reps)) for start in range(0, reps, size))
-
-
-def _fill(stream: Streams, reps: range, comp: int, dist: str, size: int) -> np.ndarray:
-    """Unit-variance draws of ``dist``, one row per replication: row k is stream (reps[k], comp)."""
-    z = np.empty((len(reps), size))
-    for row, rep in zip(z, reps):
-        rng = stream(rep, comp)
-        if dist == "gaussian":
-            rng.standard_normal(out=row)
-        elif dist == "centered-exponential":
-            rng.standard_exponential(out=row)
-        else:  # rng.integers(0, 2, size) at a third of its cost: the top bit of each 32-bit half, low half first
-            words = rng.bit_generator.random_raw((size + 1) // 2).astype("<u8", copy=False)
-            row[:] = (words.view("<u4") >> 31)[:size]
-    if dist == "centered-exponential":
-        z -= 1.0
-    elif dist == "rademacher":
-        z *= 2.0
-        z -= 1.0
-    return z
 
 
 class _Component(NamedTuple):
@@ -289,13 +273,17 @@ def draws(spec: DgpSpec, reps: range, streams: Streams | None = None) -> np.ndar
 
     Row k is deterministic in (seed, reps[k]) and does not depend on the other
     rows. A study passes one ``Streams(spec.seed)`` to every block; without it,
-    ``draws`` builds its own, with the same result.
+    ``draws`` builds its own, with the same result. A helper of another seed
+    raises ValueError.
     """
-    stream = _streams_for(spec.seed, streams)
+    if streams is None:
+        streams = Streams(spec.seed)
+    elif streams.seed != spec.seed:
+        raise ValueError(f"stream helper has seed {streams.seed}, the design has seed {spec.seed}")
     lay = _layout(spec)
 
     def effect(comp, dist, labels, scale, load):
-        x = np.take(scale * _fill(stream, reps, comp, dist, scale.size), labels, axis=1)
+        x = np.take(scale * streams.fill(reps, comp, dist, scale.size), labels, axis=1)
         return x if load is None else x * load
 
     if lay.factors:
@@ -303,16 +291,16 @@ def draws(spec: DgpSpec, reps: range, streams: Streams | None = None) -> np.ndar
         return a * b
     terms = [effect(*c) for c in lay.components]
     if lay.noise is not None:
-        terms.append(lay.noise * _fill(stream, reps, COMP_EPS, spec.dist_eps, lay.g.size))
+        terms.append(lay.noise * streams.fill(reps, COMP_EPS, spec.dist_eps, lay.g.size))
     x = terms[0] if lay.mean is None else lay.mean + terms[0]
     for term in terms[1:]:
         x += term
     return x
 
 
-def draw(spec: DgpSpec, rep: int = 0, streams: Streams | None = None) -> np.ndarray:
+def draw(spec: DgpSpec, rep: int = 0) -> np.ndarray:
     """One replication of the outcome vector, a fresh array: row 0 of ``draws`` over ``rep`` alone."""
-    return draws(spec, range(rep, rep + 1), streams)[0]
+    return draws(spec, range(rep, rep + 1))[0]
 
 
 def true_bias_term(oracle: MomentOracle) -> float:

@@ -2,7 +2,7 @@
 
 Per-replication randomness is derived from (seed, replication id) with
 counter-based streams, so results are identical for any worker count and
-aggregation is order-independent. Each study draws all its streams from one
+aggregation is order-independent. Each study fills all its streams from one
 ``Streams`` helper, and runs its replications in blocks (``dgp._blocks``):
 one array operation per block, with each replication's values those of a
 study run one replication at a time, bit for bit.
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from mwclust.clusters import ClusterScheme, NeighborhoodIndex, build_index
-from mwclust.dgp import DgpSpec, Streams, _blocks, _fill, _streams_for, draws, structure
+from mwclust.dgp import DgpSpec, Streams, _blocks, draws, structure
 from mwclust.regression import RegressionData, Z_CRIT_95, intercept_only_slope
 
 # component ids 0..2 are used inside the dgp module for the outcome draws
@@ -72,29 +72,26 @@ def ks_statistic(samples) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def _regression_draws(spec: DgpSpec, scheme: ClusterScheme, reps: range, stream: Streams):
+def _regression_draws(spec: DgpSpec, scheme: ClusterScheme, reps: range, streams: Streams):
     """(D, Y) of replications ``reps`` of the regression target, one row per replication."""
     g, h = scheme.labels
     C_G, C_H = scheme.n_clusters
-    da = _fill(stream, reps, COMP_D_ALPHA, "gaussian", C_G)
-    dg = _fill(stream, reps, COMP_D_GAMMA, "gaussian", C_H)
-    nu = _fill(stream, reps, COMP_D_NOISE, "gaussian", g.size)
+    da = streams.fill(reps, COMP_D_ALPHA, "gaussian", C_G)
+    dg = streams.fill(reps, COMP_D_GAMMA, "gaussian", C_H)
+    nu = streams.fill(reps, COMP_D_NOISE, "gaussian", g.size)
     D = D_CLUSTER_SHARE * (np.take(da, g, axis=1) + np.take(dg, h, axis=1)) + nu
-    Y = THETA_TRUE * D + INTERCEPT_TRUE + draws(spec, reps, stream)
+    Y = THETA_TRUE * D + INTERCEPT_TRUE + draws(spec, reps, streams)
     return D, Y
 
 
-def regression_replication(
-    spec: DgpSpec, scheme: ClusterScheme, rep: int, streams: Streams | None = None
-) -> RegressionData:
+def regression_replication(spec: DgpSpec, scheme: ClusterScheme, rep: int) -> RegressionData:
     """Replication ``rep`` of the regression target, Y = theta D + intercept + W.
 
     The regressor has one component per G and per H cluster, so that
     clustering matters, plus idiosyncratic noise; all draws are keyed by
-    ``spec.seed`` and ``rep``, and come from ``streams`` as in ``draws``.
+    ``spec.seed`` and ``rep``.
     """
-    stream = _streams_for(spec.seed, streams)
-    (D,), (Y,) = _regression_draws(spec, scheme, range(rep, rep + 1), stream)
+    (D,), (Y,) = _regression_draws(spec, scheme, range(rep, rep + 1), Streams(spec.seed))
     return RegressionData(
         Y=Y, D=D, controls=np.ones((D.size, 1)), scheme=scheme, column_names=("d", "(intercept)")
     )

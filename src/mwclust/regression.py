@@ -315,7 +315,10 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
     pair_sum = float(Q[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)
     V_hat = _sandwich(S_inv, Q[1:, 1:], e)
-    scale = max(abs(sigma_sq), abs(float(V_hat[0, 0])), 1e-300)
+    s, e_s = _pow2_scaled(scores[0])  # the scale's floor: the squared scores' variance, both routes' rounding
+    with np.errstate(over="ignore"):  # from scaled scores it overflows only past the double range; capped there
+        floor = min((np.ldexp(np.sqrt(s @ s), e_s) / ssd) ** 2, np.finfo(float).max)
+    scale = max(abs(sigma_sq), abs(float(V_hat[0, 0])), floor, 1e-300)
     if not abs(sigma_sq - float(V_hat[0, 0])) <= 1e-8 * scale:  # NaN fails too
         raise FloatingPointError(
             "residualized variance and sandwich (1,1) element disagree beyond tolerance"

@@ -311,6 +311,15 @@ class TestEstimate:
         assert code == 3 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_zero_clustered_variance_exit_0(self, tmp_path, capsys):
+        # each G cluster's scores sum to zero: both variance routes are rounding, and they agree
+        p = tmp_path / "zero_variance.csv"
+        p.write_text("y,d,g,h\n1,1,a,b\n2,3,a,b\n3,2,b,c\n")
+        code, out, err = run_cli(["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h"], capsys)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["theta_hat"] == pytest.approx(0.5, rel=1e-12) and abs(results["sigma_sq"]) < 1e-29
+
     def test_fewer_rows_than_regressors_exit_3(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
         p.write_text("y,d,g,h\n1.0,2.0,0,0\n")

@@ -168,6 +168,31 @@ class TestNeighborhoodIndex:
         loop = sum(mu[i] * mu[index.neighborhood(i)].sum() for i in range(n))
         assert true_bias_term(oracle) == pytest.approx(loop, rel=1e-12, abs=1e-12)
 
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vector_column_and_block_give_the_same_bytes(self, n, K, data):
+        # cluster_sums runs one column loop for all three shapes; the K-by-n layout is the pair-sum callers'
+        seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+        j = data.draw(st.integers(min_value=0, max_value=K - 1))
+        rng = np.random.default_rng(seed)
+        index = build_index(two_way(rng.integers(0, 4, n), rng.integers(0, 4, n)))
+        X = rng.normal(size=(n, K)) * 10.0 ** rng.integers(-3, 4, size=(n, K))
+        x = X[:, j].copy()
+        sums, hood, pair = index.cluster_sums(x), index.neighbor_sums(x), index.pair_sum(x)
+        assert isinstance(pair, float) and np.float64(pair).tobytes() == index.pair_sum(x[:, None])[0, 0].tobytes()
+        for block in (x[:, None], X, np.ascontiguousarray(X.T).T):
+            col = 0 if block.shape[1] == 1 else j
+            for s, s_block in zip(sums, index.cluster_sums(block)):
+                assert s.ndim == 1 and s_block.shape == (s.size, block.shape[1])
+                assert s.tobytes() == s_block[:, col].tobytes()
+            assert hood.tobytes() == index.neighbor_sums(block)[:, col].tobytes()
+            # the K-by-K diagonal is a matrix product's reduction, not a dot's: equal to its rounding
+            assert abs(index.pair_sum(block)[col, col] - pair) <= 1e-12 * sum(float(c @ c) for c in sums)
+
 
 class TestPairWeightSums:
     def test_per_cluster_squared_sums(self):

@@ -13,8 +13,8 @@ from mwclust.dgp import (
     VARIANTS,
     DgpSpec,
     Streams,
-    _fill,
     draw,
+    draws,
     structure,
     true_bias_term,
 )
@@ -477,37 +477,40 @@ class TestDraw:
 
 class TestStreams:
     def test_interleaved_streams_match_fresh_generators(self):
-        # one helper, streams requested in a random order, odd sizes and every
-        # family: an odd Rademacher draw leaves a cached 32-bit half behind,
-        # which the reset must clear
+        # one helper, blocks of one to three streams filled in a random order, odd sizes and
+        # every family: an odd Rademacher row leaves a cached 32-bit half behind, which the
+        # reset before the next row must clear
         order = np.random.default_rng(3)
         for seed in (0, 11, 2**40 + 3):
             streams = Streams(seed)
             for _ in range(300):
-                rep, comp = int(order.integers(0, 2**33)), int(order.integers(0, 7))
+                first, comp = int(order.integers(0, 2**33)), int(order.integers(0, 7))
+                reps = range(first, first + int(order.integers(1, 4)))
                 dist = DISTRIBUTIONS[int(order.integers(0, len(DISTRIBUTIONS)))]
                 size = 2 * int(order.integers(0, 20)) + 1
-                got = reference_component(streams(rep, comp), dist, size)
-                ref = reference_component(fresh_stream(seed, rep, comp), dist, size)
-                assert got.tobytes() == ref.tobytes(), (seed, rep, comp, dist, size)
+                block = streams.fill(reps, comp, dist, size)
+                assert block.shape == (len(reps), size)
+                for rep, got in zip(reps, block):
+                    ref = reference_component(fresh_stream(seed, rep, comp), dist, size)
+                    assert got.tobytes() == ref.tobytes(), (seed, rep, comp, dist, size)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 16, 17, 256])
     def test_rademacher_rows_are_the_integers_draws(self, size):
-        # _fill reads the raw words instead of calling Generator.integers(0, 2, size): same values, odd or even size
+        # fill reads the raw words instead of calling Generator.integers(0, 2, size): same values, odd or even size
         for seed, first in ((0, 0), (11, 5), (2**40 + 3, 2**33 - 2)):
-            block = _fill(Streams(seed), range(first, first + 3), COMP_EPS, "rademacher", size)
+            block = Streams(seed).fill(range(first, first + 3), COMP_EPS, "rademacher", size)
             for rep, row in zip(range(first, first + 3), block):
                 ref = fresh_stream(seed, rep, COMP_EPS).integers(0, 2, size)
                 assert row.tobytes() == (2.0 * ref - 1.0).tobytes(), (seed, rep)
 
-    def test_stream_continues_like_a_fresh_generator(self):
-        # several draws from one stream, then a reset to the same stream
+    def test_refill_after_other_streams_gives_the_same_row(self):
+        # stream (9, 2) filled, then other streams of every family and odd sizes, then (9, 2) again
         streams = Streams(5)
-        for _ in range(2):
-            rng, ref = streams(9, 2), fresh_stream(5, 9, 2)
-            for size in (3, 1, 8):
-                assert rng.integers(0, 2, size=size).tobytes() == ref.integers(0, 2, size=size).tobytes()
-                assert rng.standard_normal(size).tobytes() == ref.standard_normal(size).tobytes()
+        for dist in DISTRIBUTIONS:
+            first = streams.fill(range(9, 10), 2, dist, 5)
+            for rep, comp, other in ((9, 1, "rademacher"), (3, 2, "centered-exponential"), (10, 2, "gaussian")):
+                streams.fill(range(rep, rep + 2), comp, other, 3)
+            assert streams.fill(range(9, 10), 2, dist, 5).tobytes() == first.tobytes(), dist
 
     def test_draw_through_one_helper_matches_reference(self):
         for spec in layout_specs():
@@ -515,11 +518,11 @@ class TestStreams:
                 seeded = replace(spec, seed=seed)
                 streams = Streams(seed)
                 for rep in (5, 0, 3, 0, 1):
-                    got = draw(seeded, rep, streams)
+                    got = draws(seeded, range(rep, rep + 1), streams)[0]
                     assert got.tobytes() == reference_draw(seeded, rep).tobytes(), (spec, seed, rep)
 
     def test_helper_of_another_seed_refused(self):
         spec = DgpSpec(variant="additive-re", M=3, seed=4)
         with pytest.raises(ValueError, match="seed 5"):
-            draw(spec, 0, Streams(5))
-        np.testing.assert_array_equal(draw(spec, 0, Streams(4)), draw(spec, 0))
+            draws(spec, range(0, 2), Streams(5))
+        np.testing.assert_array_equal(draws(spec, range(0, 2), Streams(4)), draws(spec, range(0, 2)))

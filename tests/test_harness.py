@@ -13,7 +13,7 @@ from scipy import stats
 from mwclust import dgp, harness, stein
 from mwclust.cli import main
 from mwclust.clusters import NeighborhoodIndex, WeightedSample, build_index
-from mwclust.dgp import DgpSpec, Streams, draw, structure, true_bias_term
+from mwclust.dgp import DgpSpec, Streams, draw, draws, structure, true_bias_term
 from mwclust.harness import (
     COMP_D_ALPHA,
     COMP_D_GAMMA,
@@ -216,19 +216,13 @@ class TestRegressionReplication:
         g, h = scheme.labels
         streams = Streams(12)
         for rep in (4, 0, 9, 4, 2):
-            data = regression_replication(spec, scheme, rep, streams)
+            (got_D,), (got_Y,) = harness._regression_draws(spec, scheme, range(rep, rep + 1), streams)
             da = fresh_normal(12, rep, COMP_D_ALPHA, 3)
             dg = fresh_normal(12, rep, COMP_D_GAMMA, 3)
             D = D_CLUSTER_SHARE * (da[g] + dg[h]) + fresh_normal(12, rep, COMP_D_NOISE, scheme.n)
-            assert data.D.tobytes() == D.tobytes(), rep
+            assert got_D.tobytes() == D.tobytes(), rep
             Y = THETA_TRUE * D + INTERCEPT_TRUE + draw(spec, rep)
-            assert data.Y.tobytes() == Y.tobytes(), rep
-
-    def test_helper_of_another_seed_refused(self):
-        spec = DgpSpec(variant="additive-re", M=3, seed=1)
-        scheme, _ = structure(spec)
-        with pytest.raises(ValueError, match="seed 2"):
-            regression_replication(spec, scheme, 0, Streams(2))
+            assert got_Y.tobytes() == Y.tobytes(), rep
 
 
 class TestOneGeneratorPerStudy:
@@ -299,7 +293,8 @@ def reference_estimates(spec, reps, demean):
     streams = Streams(spec.seed)
     out = []
     for r in range(reps):
-        sample = WeightedSample(W=draw(spec, r, streams)[:, None], omega=np.ones(scheme.n))
+        W = draws(spec, range(r, r + 1), streams)[0][:, None]
+        sample = WeightedSample(W=W, omega=np.ones(scheme.n))
         if demean:
             mean, est = cgm_demeaned(sample, index)
             out.append((mean[0], est.Q_hat[0, 0]))
@@ -312,7 +307,10 @@ def reference_pivots(spec, reps):
     """Per replication, the standardized sum of the draws."""
     _, oracle = structure(spec)
     streams = Streams(spec.seed)
-    return [(draw(spec, r, streams).sum() - oracle.mean.sum()) / math.sqrt(oracle.true_Q) for r in range(reps)]
+    return [
+        (draws(spec, range(r, r + 1), streams)[0].sum() - oracle.mean.sum()) / math.sqrt(oracle.true_Q)
+        for r in range(reps)
+    ]
 
 
 def reference_coverage_mean(spec, reps, seed, estimates=None, pivots=None):
@@ -481,7 +479,7 @@ def one_replication_moments(spec, counts):
     T, u_sum, u_sumsq = np.empty(max(counts)), np.zeros(oracle.scheme.n), np.zeros(oracle.scheme.n)
     sums = {}
     for r in range(max(counts)):
-        x = (draw(spec, r, streams) - oracle.mean) / sigma
+        x = (draws(spec, range(r, r + 1), streams)[0] - oracle.mean) / sigma
         t = neighbor_sums(x)
         T[r] = float(x @ t)
         u = x * t * t
@@ -541,10 +539,9 @@ class TestBlockEdges:
         scheme, _ = structure(spec)
         index = build_index(scheme)
         edges = block_edges(spec)
-        streams = Streams(spec.seed)
         ref = []
         for r in range(edges[-1]):
-            data = regression_replication(spec, scheme, r, streams)
+            data = regression_replication(spec, scheme, r)
             ref.append(one_replication_slope(data.D, data.Y, index))
         study = []
 

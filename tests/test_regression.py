@@ -426,6 +426,48 @@ class TestThetaInference:
         expect = float((u**2 * D**2).sum() / (D @ D) ** 2)
         assert res.sigma_sq == pytest.approx(expect, rel=1e-12)
 
+    @staticmethod
+    def zero_variance_fit(y_exp=0, d_exp=0):
+        """theta_inference on three rows whose scores sum to zero in every cluster, Y and D scaled by 2^k."""
+        Y, D = np.ldexp([1.0, 2.0, 3.0], y_exp), np.ldexp([1.0, 3.0, 2.0], d_exp)
+        data = make_data(Y, D, np.ones((3, 1)), ["a", "a", "b"], ["b", "b", "c"])
+        return theta_inference(data, build_index(data.scheme))
+
+    def test_zero_clustered_variance_passes_the_cross_check(self):
+        # sigma_sq and V_hat[0, 0] are rounding alone, far below the 1e-8 tolerance of the squared
+        # scores' variance, which floors the check's scale; at scores near 1e155 their sum of squares
+        # overflows, the floor does not, and every number scales exactly
+        base = self.zero_variance_fit()
+        assert abs(base.sigma_sq) < 1e-29 and abs(base.V_hat[0, 0]) < 1e-14
+        res = self.zero_variance_fit(258, 257)
+        scores = res.residuals * res.D_tilde
+        with np.errstate(over="ignore"):
+            assert np.abs(scores).max() > 1e154 and np.sum(scores**2) == np.inf
+        assert (res.theta_hat, res.sigma_sq, res.V_hat[0, 0]) == (
+            np.ldexp(base.theta_hat, 1), np.ldexp(base.sigma_sq, 2), np.ldexp(base.V_hat[0, 0], 2)
+        )
+
+    @pytest.mark.parametrize("share, fails", [(1e-12, False), (1e-6, True)])
+    def test_cross_check_scale_where_the_squared_scores_overflow(self, monkeypatch, share, fails):
+        # V_hat[0, 0] moved by a share of the squared scores' variance (0.5 at these scales): within
+        # the tolerance the check passes, beyond it it fails; an infinite floor would pass both
+        base = self.zero_variance_fit()
+        floor = 4.0 * float(np.sum((base.residuals * base.D_tilde) ** 2)) / float(base.D_tilde @ base.D_tilde) ** 2
+        assert floor == pytest.approx(0.5, rel=1e-12)
+        sandwich = regression._sandwich
+
+        def shifted(*args):
+            V = sandwich(*args)
+            V[0, 0] += share * floor
+            return V
+
+        monkeypatch.setattr(regression, "_sandwich", shifted)
+        if fails:
+            with pytest.raises(FloatingPointError, match="disagree beyond tolerance"):
+                self.zero_variance_fit(258, 257)
+        else:
+            assert self.zero_variance_fit(258, 257).V_hat[0, 0] >= share * floor
+
     def test_builds_the_design_matrix_once(self, monkeypatch):
         # one n-by-k design matrix per fit, the scaled [controls | D] that the QR, the
         # sandwich's bread and the scores share; the unscaled data.X is never built whole

@@ -11,6 +11,7 @@ from mwclust.dgp import DgpSpec, draw, structure
 from mwclust.stein import (
     BoundReport,
     _dependent_trace,
+    _replicate,
     kolmogorov_bound,
     wasserstein_bound,
 )
@@ -211,6 +212,30 @@ class TestMonteCarlo:
         n = 9
         expect = 2.0 * n / n**1.5
         assert mc.term_third == pytest.approx(expect, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(variant="additive-re", M=4, dist_alpha="centered-exponential",
+                    dist_gamma="centered-exponential", dist_eps="centered-exponential"),
+            DgpSpec(variant="nonzero-mean-triple", M=5, dist_alpha="centered-exponential", dist_gamma="rademacher"),
+            DgpSpec(variant="additive-re", M=3, hetero_alpha=True, dist_alpha="rademacher",
+                    dist_gamma="centered-exponential", dist_eps="gaussian"),
+        ],
+        ids=spec_id,
+    )
+    def test_third_moments_match_the_oracle_on_dependent_designs(self, spec):
+        # for x centered and divided by sigma, E[x_i (Bx)_i^2] = third_inner_sum[i] / sigma^3: the
+        # quantity whose Monte Carlo mean term_third sums, per observation, within 5 standard errors
+        _, oracle = structure(spec)
+        reps = 20_000
+        _, u_sum, u_sumsq = _replicate(spec, oracle, reps)
+        mean = u_sum / reps
+        se = np.sqrt((u_sumsq / reps - mean * mean) / reps)
+        expect = oracle.third_inner_sum / oracle.true_Q**1.5
+        assert np.all(se > 0) and np.any(expect != 0)
+        z = (mean - expect) / se
+        assert np.abs(z).max() <= 5.0, z
 
     def test_deterministic_given_seed(self):
         spec = DgpSpec(variant="additive-re", M=4, seed=3)
