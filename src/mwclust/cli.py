@@ -348,8 +348,9 @@ def cmd_estimate(args) -> int:
     if args.psd_project:  # one projection: sigma_sq is the (1,1) entry of the clipped V
         V = psd_clip(V)
         sigma_sq = float(V[0, 0])
-    fin = _finish_scalar(
-        res.beta_hat, res.theta_hat, sigma_sq, res.residuals, res.D_tilde, V, rank_lambda=res.rank_lambda
+    fin = _finish_scalar(  # unresolved as theta_inference found it, before the dof factor and the projection
+        res.beta_hat, res.theta_hat, sigma_sq, res.residuals, res.D_tilde, V,
+        unresolved=res.unresolved_variance, rank_lambda=res.rank_lambda,
     )
     warnings = fin.warnings  # those of the variance reported
     diag = _data_diagnostics(index, res, warnings)

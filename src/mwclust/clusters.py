@@ -55,6 +55,11 @@ class ClusterScheme:
     def n_clusters(self) -> tuple[int, ...]:
         return tuple(int(lab.max()) + 1 for lab in self.labels)
 
+    @cached_property
+    def grid(self) -> tuple[int, int] | None:
+        """``(C_G, C_H)`` of a two-way scheme laid out as a complete grid (``_grid``), else None."""
+        return _grid(*self.labels) if len(self.labels) == 2 else None
+
     @classmethod
     def from_labels(cls, *label_vectors, dims=None) -> "ClusterScheme":
         """Build a scheme from raw label vectors, canonicalizing to dense ints.
@@ -76,6 +81,35 @@ class ClusterScheme:
             dense.append(ids)
             values.append(uniq)
         return cls(dims=tuple(dims), labels=tuple(dense), label_values=tuple(values))
+
+
+def _grid(g: np.ndarray, h: np.ndarray) -> tuple[int, int] | None:
+    """``(C_G, C_H)`` when observation i is in G cluster i // C_H and H cluster i % C_H, with C_G, C_H >= 2.
+
+    That is a complete C_G-by-C_H grid in row-major order, one observation
+    per cell, as the simulation designs lay out at ``cell_size`` 1. The last
+    observation names the only candidate, so other labels are declined at
+    once unless n is the product of its counts.
+    """
+    C_G, C_H = int(g[-1]) + 1, int(h[-1]) + 1
+    if g.size != C_G * C_H or C_G < 2 or C_H < 2:
+        return None
+    i = np.arange(g.size)
+    return (C_G, C_H) if np.array_equal(g, i // C_H) and np.array_equal(h, i % C_H) else None
+
+
+def spread(rows: np.ndarray, labels: np.ndarray, grid: tuple[int, int] | None) -> np.ndarray:
+    """``np.take(rows, labels, axis=1)``: a B-by-C block of per-label values as a fresh C-ordered B-by-n block.
+
+    ``labels`` are the G or the H labels of a scheme whose ``grid`` is
+    ``grid``. On a grid the values are broadcast, not gathered; observation 1
+    is in G cluster 0 and in H cluster 1 there, which tells the two apart.
+    """
+    if grid is None:
+        return np.take(rows, labels, axis=1)
+    out = np.empty((len(rows), *grid))
+    out[...] = rows[:, None, :] if labels[1] else rows[:, :, None]
+    return out.reshape(len(rows), -1)
 
 
 def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
@@ -149,7 +183,9 @@ class NeighborhoodIndex:
     The pair-sum variance, the bias term, both bounds and the diagnostics all
     use it. Per-cluster member lists, read by :meth:`neighborhood` (the
     independent pair-enumeration check), and the block codes are built on
-    first use.
+    first use. On a complete grid in row-major order (``grid``, read from
+    the labels alone: the simulation designs at one observation per cell),
+    the block sums reduce a reshaped block instead.
 
     Immutable once built, but for those caches, which are replaced whole;
     safe to share across concurrent readers.
@@ -166,6 +202,7 @@ class NeighborhoodIndex:
         g, h = scheme.labels
         uniq, self.cell_dense = np.unique(g * self.cluster_sizes[1].size + h, return_inverse=True)
         self.n_cells = uniq.size
+        self.grid = scheme.grid
         # (label of each observation, number of labels) of the three sums, signed +, +, -
         self.groups = (
             (g, self.cluster_sizes[0].size),
@@ -227,8 +264,15 @@ class NeighborhoodIndex:
 
         One bincount per group over the codes label + count * row visits each
         row's entries in the order ``cluster_sums`` visits one row's, so each
-        row's sums have its bits.
+        row's sums have its bits. On a grid, a sum over the strided axis of
+        the reshaped block (and of its transposed copy for the G sums) adds
+        the same entries in the same order, and each cell is one entry; a sum
+        that bincount starts from +0.0 cannot end at -0.0, hence ``+ 0.0``.
         """
+        if self.grid:
+            cells = X.reshape(len(X), *self.grid)
+            sums = [np.add.reduce(cells.transpose(0, 2, 1).copy(), axis=1), np.add.reduce(cells, axis=1)]
+            return [np.add(s, 0.0, out=s) for s in sums] + [X + 0.0]
         codes = self._codes
         if codes is None or codes[0].size < X.size:
             rows = np.arange(X.shape[0])[:, None]
@@ -244,6 +288,8 @@ class NeighborhoodIndex:
     def row_neighbor_sums(self, X: np.ndarray) -> np.ndarray:
         """``neighbor_sums`` of each row of a B-by-n block, bit for bit, as a C-ordered block."""
         s_g, s_h, s_cell = self._row_sums(X)
+        if self.grid:
+            return (s_g[:, :, None] + s_h[:, None, :]).reshape(s_cell.shape) - s_cell
         g, h = self.scheme.labels
         return np.take(s_g, g, axis=1) + np.take(s_h, h, axis=1) - np.take(s_cell, self.cell_dense, axis=1)
 

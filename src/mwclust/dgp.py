@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, build_index
+from mwclust.clusters import ClusterScheme, _grid, build_index, spread
 
 VARIANTS = (
     "additive-re",
@@ -108,38 +108,46 @@ class Streams:
     For each row, ``fill`` resets the shared generator to the whole state of a
     freshly built ``Philox(key=seed, counter=[0, 0, rep, comp])``, buffered word
     and cached 32-bit half included, and fills the row from it: that stream
-    bit for bit, for a fraction of the cost of building one. No caller holds
-    the generator, so none can draw from it across a reset. Do not share a
-    helper between threads (the package starts none); the children of a forked
-    study each fill from their own copy, and since every stream is fixed by
-    (seed, rep, comp) alone, a replication has the same bytes in any process.
+    bit for bit, for a fraction of the cost of building one. The fresh state is
+    held as plain ints and lists, which the state setter reads about twice as
+    fast as numpy arrays. No caller holds the generator, so none can draw from
+    it across a reset. Do not share a helper between threads (the package
+    starts none); the forked children of a study, or of the Monte Carlo
+    bound's 16 groups of blocks, each fill from their own copy, and since
+    every stream is fixed by (seed, rep, comp) alone, a replication has the
+    same bytes in any process. Rademacher rows keep their raw words in one
+    block, converted to signs once.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._bits = np.random.Philox(key=np.uint64(seed))
         self._rng = np.random.Generator(self._bits)
-        self._fresh = self._bits.state  # empty buffer, no cached half word
-        self._counter = self._fresh["state"]["counter"]
+        state = self._bits.state  # empty buffer, no cached half word
+        self._counter = [0, 0, 0, 0]
+        self._fresh = {**state, "state": {"counter": self._counter, "key": state["state"]["key"].tolist()},
+                       "buffer": state["buffer"].tolist()}
+
+    def _reset(self, rows: np.ndarray, reps: range, comp: int):
+        """Each row of ``rows`` with the generator reset to stream (rep, comp) of its replication."""
+        bits, fresh, counter = self._bits, self._fresh, self._counter
+        for row, rep in zip(rows, reps):
+            counter[2], counter[3] = rep, comp
+            bits.state = fresh
+            yield row
 
     def fill(self, reps: range, comp: int, dist: str, size: int) -> np.ndarray:
         """Unit-variance draws of ``dist``, one row per replication: row k is stream (reps[k], comp)."""
-        bits, rng, fresh, counter = self._bits, self._rng, self._fresh, self._counter
+        if dist == "rademacher":  # rng.integers(0, 2, size) at a third of its cost: the top bit of each 32-bit half
+            words = np.empty((len(reps), (size + 1) // 2), "<u8")
+            for row in self._reset(words, reps, comp):
+                row[:] = self._bits.random_raw(row.size)
+            return (words.view("<u4")[:, :size] >> 31) * 2.0 - 1.0  # low half first
         z = np.empty((len(reps), size))
-        for row, rep in zip(z, reps):
-            counter[2], counter[3] = rep, comp
-            bits.state = fresh
-            if dist == "gaussian":
-                rng.standard_normal(out=row)
-            elif dist == "centered-exponential":
-                rng.standard_exponential(out=row)
-            else:  # rng.integers(0, 2, size) at a third of its cost: the top bit of each 32-bit half, low half first
-                words = bits.random_raw((size + 1) // 2).astype("<u8", copy=False)
-                row[:] = (words.view("<u4") >> 31)[:size]
+        draw = self._rng.standard_normal if dist == "gaussian" else self._rng.standard_exponential
+        for row in self._reset(z, reps, comp):
+            draw(out=row)
         if dist == "centered-exponential":
-            z -= 1.0
-        elif dist == "rademacher":
-            z *= 2.0
             z -= 1.0
         return z
 
@@ -188,6 +196,7 @@ class _Layout(NamedTuple):
     components: tuple[_Component, ...]
     noise: np.ndarray | None  # scale of the idiosyncratic component of each observation
     factors: tuple[_Component, ...] = ()  # a product design: observation i is the product of these
+    grid: tuple[int, int] | None = None  # ``ClusterScheme.grid`` of (g, h)
 
     @property
     def row_var(self) -> np.ndarray:
@@ -231,6 +240,7 @@ def _layout(spec: DgpSpec) -> _Layout:
             layout = layout._replace(components=())
         if spec.variant == "interactive-chaos":  # uncorrelated but within-row/column dependent
             layout = layout._replace(components=(), noise=None, factors=effects)
+    layout = layout._replace(grid=_grid(layout.g, layout.h))
     for arr in (*layout[:3], layout.noise, *(a for c in (*layout.components, *layout.factors) for a in c[2:])):
         if arr is not None:
             arr.flags.writeable = False
@@ -283,7 +293,7 @@ def draws(spec: DgpSpec, reps: range, streams: Streams | None = None) -> np.ndar
     lay = _layout(spec)
 
     def effect(comp, dist, labels, scale, load):
-        x = np.take(scale * streams.fill(reps, comp, dist, scale.size), labels, axis=1)
+        x = spread(scale * streams.fill(reps, comp, dist, scale.size), labels, lay.grid)
         return x if load is None else x * load
 
     if lay.factors:

@@ -11,8 +11,19 @@ The coverage and consistency studies split their blocks over the usable
 CPUs (``_in_parts``): contiguous ranges of blocks, each but the first in a
 forked child. A block's values depend only on its replications, and the
 parent joins them in replication order, so a report has the same bytes for
-any number of CPUs. The Monte Carlo bound (``stein._replicate``) stays in
-one process: its sums over replications run in replication order.
+any number of CPUs. The Monte Carlo bound (``stein._replicate``) splits the
+same way, over 16 contiguous groups of its blocks (``stein.MC_GROUPS``), a
+number that the design fixes, not the CPUs: each group sums over its
+replications in their order, and the group sums are added in group order.
+So ``term_third`` can differ in its last bits from one running sum over all
+replications: by one ulp on ``configs/diagnose_chaos.json``.
+
+On a design laid out as a complete grid, one observation per cell in
+row-major order (additive-re, iid-conservative and interactive-chaos at
+``cell_size`` 1), the per-label draws are broadcast over the grid and the
+block sums reduce the reshaped block (``clusters.spread``,
+``NeighborhoodIndex.grid``); the triple and designs of larger cells gather
+and use bincount. Both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, NeighborhoodIndex, build_index
+from mwclust.clusters import ClusterScheme, NeighborhoodIndex, build_index, spread
 from mwclust.dgp import DgpSpec, Streams, _blocks, draws, structure
 from mwclust.regression import RegressionData, Z_CRIT_95, intercept_only_slope
 
@@ -75,11 +86,11 @@ def ks_statistic(samples) -> float:
 def _regression_draws(spec: DgpSpec, scheme: ClusterScheme, reps: range, streams: Streams):
     """(D, Y) of replications ``reps`` of the regression target, one row per replication."""
     g, h = scheme.labels
-    C_G, C_H = scheme.n_clusters
+    C_G, C_H = scheme.grid or scheme.n_clusters
     da = streams.fill(reps, COMP_D_ALPHA, "gaussian", C_G)
     dg = streams.fill(reps, COMP_D_GAMMA, "gaussian", C_H)
     nu = streams.fill(reps, COMP_D_NOISE, "gaussian", g.size)
-    D = D_CLUSTER_SHARE * (np.take(da, g, axis=1) + np.take(dg, h, axis=1)) + nu
+    D = D_CLUSTER_SHARE * (spread(da, g, scheme.grid) + spread(dg, h, scheme.grid)) + nu
     Y = THETA_TRUE * D + INTERCEPT_TRUE + draws(spec, reps, streams)
     return D, Y
 
@@ -165,7 +176,7 @@ def _in_parts(fn, blocks: list) -> list:
         out = [fn(block) for block in blocks[: edges[1]]]
         for pid, pipe in children:
             try:
-                ok, value = pickle.loads(pipe.read())
+                ok, value = pickle.load(pipe)  # read as it is parsed: no second copy of the payload's bytes
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"replication worker {pid} ended without a result") from None
             if not ok:

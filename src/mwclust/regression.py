@@ -24,6 +24,7 @@ Z_CRIT_95 = 1.959964
 
 RANK_LAMBDA_MIN = 1e-10
 NO_RESIDUAL_VARIATION = "regressor of interest has no residual variation after partialling out controls"
+UNRESOLVED_VARIANCE = "estimated variance is within the rounding of its scores; confidence interval suppressed"
 RANK_LAMBDA_OVERFLOW = "rank_lambda unavailable: X'X/n overflows double precision in the units of the data"
 
 
@@ -82,6 +83,7 @@ class InferenceResult:
     residuals: np.ndarray
     D_tilde: np.ndarray
     negative_variance: bool = False
+    unresolved_variance: bool = False  # sigma_sq is within the rounding of its scores: t and the interval withheld
     warnings: list[str] = field(default_factory=list)
     score_pair_sum: float | None = None  # pair sum of u_hat * D_tilde, sigma_sq's numerator
     rank_lambda: float | None = None  # smallest eigenvalue of X'X/n
@@ -232,25 +234,30 @@ def _sandwich(S_inv: np.ndarray, Q: np.ndarray, e: np.ndarray) -> np.ndarray:
     return V
 
 
-def _finish_scalar(beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, **health) -> InferenceResult:
+def _finish_scalar(
+    beta, theta, sigma_sq, u_hat, D_tilde, V_hat=None, unresolved=False, **health
+) -> InferenceResult:
     """Standard error, t statistic and 95% interval of the slope from its variance.
 
     A negative variance can occur in finite samples; it is surfaced, not
-    clipped, and no interval is formed. A ``rank_lambda`` passed as None is
-    named in a warning.
+    clipped, and no interval is formed. Nor is one for an ``unresolved``
+    variance, whose size and sign are rounding; it is not called negative.
+    A ``rank_lambda`` passed as None is named in a warning.
     """
     if not np.isfinite(sigma_sq):
         raise FloatingPointError("slope variance overflows double precision")
-    negative = sigma_sq < 0
-    sigma = None if negative else float(np.sqrt(sigma_sq))
+    negative = sigma_sq < 0 and not unresolved
+    sigma = None if negative or unresolved else float(np.sqrt(sigma_sq))
     warnings = ["estimated variance is negative; confidence interval suppressed"] if negative else []
+    if unresolved:
+        warnings.append(UNRESOLVED_VARIANCE)
     if "rank_lambda" in health and health["rank_lambda"] is None:
         warnings.append(RANK_LAMBDA_OVERFLOW)
     return InferenceResult(
         beta_hat=beta, theta_hat=theta, sigma_sq=sigma_sq, sigma_hat=sigma, V_hat=V_hat,
         t_stat=theta / sigma if sigma else None,
         ci_95=None if sigma is None else (theta - Z_CRIT_95 * sigma, theta + Z_CRIT_95 * sigma),
-        residuals=u_hat, D_tilde=D_tilde, negative_variance=negative,
+        residuals=u_hat, D_tilde=D_tilde, negative_variance=negative, unresolved_variance=unresolved,
         warnings=warnings,
         **health,
     )
@@ -325,5 +332,6 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
         )
     return _finish_scalar(
         beta, float(beta[0]), sigma_sq, u_hat, D_tilde, V_hat=V_hat,
+        unresolved=bool(abs(sigma_sq) <= 1e-8 * floor),  # inside the check's own tolerance of zero
         score_pair_sum=pair_sum, rank_lambda=rank_lambda,
     )

@@ -7,6 +7,17 @@ simulation-only and works off a moment oracle. Both terms sum over the
 pairs of the oracle's true dependence, a label pair, through its index.
 Both bounds are ratios that do not depend on the design's scale, so both
 are computed for x / sigma: no power of sigma can leave the double range.
+
+The Monte Carlo bound cuts its replication blocks into ``MC_GROUPS`` (16)
+contiguous groups, a number that the design fixes, and splits the groups
+over the usable CPUs with ``harness._in_parts``. Each group sums u and u^2
+over its replications in their order, and the groups' sums are added in
+group order, so a report has the same bytes for any number of CPUs; its
+``term_third`` can differ in the last bits from one running sum over all
+replications (one ulp on ``configs/diagnose_chaos.json``). On a complete
+grid, one observation per cell in row-major order (the true dependence of
+additive-re and interactive-chaos at ``cell_size`` 1), the neighbour sums
+of a block reduce the reshaped block instead of gathering.
 """
 
 from __future__ import annotations
@@ -19,11 +30,15 @@ import numpy as np
 
 from mwclust.clusters import _row_dots, build_index
 from mwclust.dgp import DgpSpec, MomentOracle, Streams, _blocks, draws, structure
+from mwclust.harness import _in_parts
 
 _VAR_COEF = math.sqrt(2.0 / math.pi)
 _DK_COEF = (2.0 / math.pi) ** 0.25
 _PAIR_CHUNK = 2**20  # index pairs that ``_matches`` holds at a time
 _SIGNS = (1.0, 1.0, -1.0)  # of the G, H and cell sums in the true dependence B
+# groups of the Monte Carlo bound's blocks, a count that the design fixes: 16 splits evenly over 1, 2, 4,
+# 8 or 16 CPUs, and more would only add group sums
+MC_GROUPS = 16
 
 
 @dataclass(frozen=True)
@@ -179,22 +194,39 @@ def _analytic(oracle: MomentOracle) -> BoundReport:
 
 
 def _replicate(spec: DgpSpec, oracle: MomentOracle, reps: int):
-    """For x / sigma, T = x'Bx per replication and the sums over replications of u and u^2, u = x (Bx)^2."""
+    """For x / sigma, T = x'Bx per replication and the sums over replications of u and u^2, u = x (Bx)^2.
+
+    Summed group by group, over at most ``MC_GROUPS`` contiguous groups of the blocks.
+    """
     n = oracle.scheme.n
     index = build_index(oracle.dependent)
     sigma = math.sqrt(oracle.true_Q)
-    u_sum = np.zeros(n)
-    u_sumsq = np.zeros(n)
-    T = np.empty(reps)
     streams = Streams(spec.seed)
-    for block in _blocks(reps, n):
-        x = (draws(spec, block, streams) - oracle.mean) / sigma
-        t = index.row_neighbor_sums(x)
-        T[block.start : block.stop] = _row_dots(x, t)
-        for u in x * t * t:  # in replication order
-            u_sum += u
-            u_sumsq += u * u
-    return T, u_sum, u_sumsq
+
+    def moments(group):
+        """T of the group's replications, and its sums of u and u^2 as one 2-by-n array."""
+        T, sums = [], np.zeros((2, n))
+        for block in group:
+            x = (draws(spec, block, streams) - oracle.mean) / sigma
+            t = index.row_neighbor_sums(x)
+            T.append(_row_dots(x, t))
+            rows = np.empty((len(block) + 1, 2, n))  # the running sums, then u and u^2 of each replication
+            rows[0] = sums
+            u, u_sq = rows[1:, 0], rows[1:, 1]
+            np.multiply(x, t, out=u)
+            u *= t
+            np.multiply(u, u, out=u_sq)
+            # a sum over the outer axis adds the rows one by one, in replication order: the inner axes,
+            # 2n >= 2 long, are not summed, so no pairwise summation applies
+            sums = np.add.reduce(rows, axis=0)
+        return np.concatenate(T), sums
+
+    blocks = list(_blocks(reps, n))
+    count = min(MC_GROUPS, len(blocks))
+    edges = [len(blocks) * k // count for k in range(count + 1)]
+    T, sums = zip(*_in_parts(moments, [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]))
+    u_sum, u_sumsq = sum(sums)  # group by group
+    return np.concatenate(T), u_sum, u_sumsq
 
 
 def _monte_carlo(spec: DgpSpec, oracle: MomentOracle, reps: int) -> BoundReport:
@@ -237,5 +269,7 @@ def wasserstein_bound(
     if method == "analytic":
         return _analytic(oracle)
     if method == "monte-carlo":
+        if reps < 2:  # the variance of T needs two
+            raise ValueError(f"monte-carlo bound needs at least 2 replications, got {reps}")
         return _monte_carlo(spec, oracle, reps)
     raise ValueError(f"unknown method {method!r}")

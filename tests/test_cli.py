@@ -320,6 +320,26 @@ class TestEstimate:
         results = json.loads(out)["results"]
         assert results["theta_hat"] == pytest.approx(0.5, rel=1e-12) and abs(results["sigma_sq"]) < 1e-29
 
+    @pytest.mark.parametrize("flags", [[], ["--dof-correction"], ["--psd-project"], ["--dof-correction", "--psd-project"]])
+    def test_rounding_level_variance_withholds_the_interval(self, tmp_path, capsys, flags):
+        # sigma_sq is 8e-31 against the squared scores' variance of 0.125 (the projected one, the sandwich's
+        # V[0, 0], 2e-16): at most 1e-8 of it is rounding, so it is reported as a negative one is, with a
+        # warning and no standard error, t or interval, whatever the dof factor or the projection
+        p = tmp_path / "zero_variance.csv"
+        p.write_text("y,d,g,h\n1,1,a,b\n2,3,a,b\n3,2,b,c\n")
+        code, out, err = run_cli(
+            ["estimate", "--data", str(p), "--y", "y", "--d", "d", "--cluster", "g,h", *flags], capsys
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        results = doc["results"]
+        assert 0 < results["sigma_sq"] < 1e-8 * 0.125
+        assert (results["sigma_hat"], results["t_stat"], results["ci_95"]) == (None, None, None)
+        assert results["negative_variance"] is False
+        assert doc["warnings"][0] == (
+            "estimated variance is within the rounding of its scores; confidence interval suppressed"
+        )
+
     def test_fewer_rows_than_regressors_exit_3(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
         p.write_text("y,d,g,h\n1.0,2.0,0,0\n")

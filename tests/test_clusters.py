@@ -10,6 +10,7 @@ from mwclust.clusters import (
     WeightedSample,
     build_index,
     pair_weight_sums,
+    spread,
 )
 from mwclust.dgp import MomentOracle, true_bias_term
 
@@ -192,6 +193,53 @@ class TestNeighborhoodIndex:
             assert hood.tobytes() == index.neighbor_sums(block)[:, col].tobytes()
             # the K-by-K diagonal is a matrix product's reduction, not a dot's: equal to its rounding
             assert abs(index.pair_sum(block)[col, col] - pair) <= 1e-12 * sum(float(c @ c) for c in sums)
+
+
+class TestGridRoute:
+    """On a complete grid in row-major order, block sums and spreads reshape the block, with bincount's bits."""
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(B=1, C_G=2, C_H=2, seed=0)
+    @example(B=3, C_G=1, C_H=9, seed=1)  # the one-way triple's layout
+    @settings(max_examples=80, deadline=None)
+    def test_grid_route_gives_the_bits_of_bincount(self, B, C_G, C_H, seed):
+        rng = np.random.default_rng(seed)
+        n = C_G * C_H
+        i = np.arange(n)
+        scheme = two_way(i // C_H, i % C_H)
+        index, plain = build_index(scheme), build_index(scheme)
+        grid = (C_G, C_H) if min(C_G, C_H) >= 2 else None
+        assert index.grid == scheme.grid == grid
+        plain.grid = None  # the bincount route on the same labels
+        # magnitudes far apart, so that the order of a sum shows in its bits, and +-0.0, with a G row
+        # and an H column all -0.0, whose bincount sums are +0.0
+        X = rng.normal(size=(B, n)) * 10.0 ** rng.integers(-8, 9, size=(B, n))
+        X[rng.random((B, n)) < 0.2] = 0.0
+        X[rng.random((B, n)) < 0.2] = -0.0
+        cells = X.reshape(B, C_G, C_H)
+        cells[:, rng.integers(C_G), :] = -0.0
+        cells[:, :, rng.integers(C_H)] = -0.0
+        for got, ref in zip(index._row_sums(X), plain._row_sums(X)):
+            assert got.tobytes() == ref.tobytes()
+        assert index.row_pair_sums(X).tobytes() == plain.row_pair_sums(X).tobytes()
+        assert index.row_neighbor_sums(X).tobytes() == plain.row_neighbor_sums(X).tobytes()
+        rows = [rng.normal(size=(B, C)) for C in (C_G, C_H)]
+        for labels, values in zip(scheme.labels, rows):
+            spread_block = spread(values, labels, grid)
+            assert spread_block.flags.c_contiguous
+            assert spread_block.tobytes() == np.take(values, labels, axis=1).tobytes()
+        # the same cells in another order are no grid
+        order = rng.permutation(n)
+        if (order == i).all():
+            order = order[::-1]
+        if n > 1:
+            shuffled = two_way(*(lab[order] for lab in scheme.labels))
+            assert build_index(shuffled).grid is None and shuffled.grid is None
 
 
 class TestPairWeightSums:

@@ -470,24 +470,41 @@ def one_replication_slope(D, Y, index):
     return theta, _slope_variance(index.pair_sum((Yt - theta * Dt) * Dt), ssd)
 
 
-def one_replication_moments(spec, counts):
-    """``stein._replicate`` written one replication at a time: T, and the sums of u and u^2 after each count."""
+def one_replication_moments(spec, reps):
+    """``stein._replicate``'s T and u = x (Bx)^2 written one replication at a time: T, and u one row per replication."""
     _, oracle = structure(spec)
     neighbor_sums = build_index(oracle.dependent).neighbor_sums
     sigma = math.sqrt(oracle.true_Q)
     streams = Streams(spec.seed)
-    T, u_sum, u_sumsq = np.empty(max(counts)), np.zeros(oracle.scheme.n), np.zeros(oracle.scheme.n)
-    sums = {}
-    for r in range(max(counts)):
+    T, U = np.empty(reps), np.empty((reps, oracle.scheme.n))
+    for r in range(reps):
         x = (draws(spec, range(r, r + 1), streams)[0] - oracle.mean) / sigma
         t = neighbor_sums(x)
         T[r] = float(x @ t)
-        u = x * t * t
-        u_sum += u
-        u_sumsq += u * u
-        if r + 1 in counts:
-            sums[r + 1] = (u_sum.tobytes(), u_sumsq.tobytes())
-    return T, sums
+        U[r] = x * t * t
+    return T, U
+
+
+def group_order_sums(U):
+    """The sums of the rows u of U and of u^2 in ``stein._replicate``'s order, as bytes.
+
+    Its blocks go into ``stein.MC_GROUPS`` contiguous groups at most; each
+    group adds its rows one by one from zero, and the group sums are added in
+    group order.
+    """
+    reps, n = U.shape
+    blocks = list(dgp._blocks(reps, n))
+    count = min(stein.MC_GROUPS, len(blocks))
+    u_sum, u_sumsq = np.zeros(n), np.zeros(n)
+    for k in range(count):
+        first, last = blocks[len(blocks) * k // count], blocks[len(blocks) * (k + 1) // count - 1]
+        group_sum, group_sumsq = np.zeros(n), np.zeros(n)
+        for u in U[first.start : last.stop]:
+            group_sum += u
+            group_sumsq += u * u
+        u_sum += group_sum
+        u_sumsq += group_sumsq
+    return u_sum.tobytes(), u_sumsq.tobytes()
 
 
 class TestBlockEdges:
@@ -558,14 +575,29 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("design", sorted(LOOP_DESIGNS))
     def test_monte_carlo_moments(self, design):
-        spec = replace(LOOP_DESIGNS[design], seed=6)
-        _, oracle = structure(spec)
-        edges = block_edges(spec)
-        T_ref, sums = one_replication_moments(spec, edges)
-        for reps in edges:
-            T, u_sum, u_sumsq = stein._replicate(spec, oracle, reps)
-            assert T.tobytes() == T_ref[:reps].tobytes(), reps
-            assert (u_sum.tobytes(), u_sumsq.tobytes()) == sums[reps], reps
+        assert_monte_carlo_moments(replace(LOOP_DESIGNS[design], seed=6))
+
+    @pytest.mark.parametrize("design", [*sorted(LOOP_DESIGNS), "one-observation"])
+    def test_monte_carlo_moments_of_35_short_blocks(self, design, monkeypatch):
+        # blocks of 2 replications, or of 12 at n = 1, where a block of rows and running sums is
+        # 13-by-2-by-1; at 35 blocks, each of the 16 groups holds two or three
+        one_observation = DgpSpec(variant="additive-re", M=1, dist_alpha="rademacher")
+        spec = replace(LOOP_DESIGNS.get(design, one_observation), seed=6)
+        n = structure(spec)[0].n
+        B = 12 if n == 1 else 2
+        monkeypatch.setattr(dgp, "BLOCK_ELEMENTS", B * n)
+        assert_monte_carlo_moments(spec, (2 * stein.MC_GROUPS + 3) * B)
+
+
+def assert_monte_carlo_moments(spec, *more_reps):
+    """``stein._replicate`` at every block edge and at ``more_reps`` has the bits of the one-replication reference."""
+    _, oracle = structure(spec)
+    edges = block_edges(spec) + list(more_reps)
+    T_ref, U = one_replication_moments(spec, edges[-1])
+    for reps in edges:
+        T, u_sum, u_sumsq = stein._replicate(spec, oracle, reps)
+        assert T.tobytes() == T_ref[:reps].tobytes(), reps
+        assert (u_sum.tobytes(), u_sumsq.tobytes()) == group_order_sums(U[:reps]), reps
 
 
 # designs of the split tests: enough blocks that a study forks when more than one CPU is usable
@@ -581,6 +613,12 @@ SPLIT_STUDIES = {
     "consistency": lambda: run_consistency(DgpSpec(variant="additive-re"), [20, 24], reps=200, seed=4),
     "consistency-demeaned": lambda: run_consistency(
         DgpSpec(variant="nonzero-mean-triple"), [200, 300], reps=200, seed=4, demean=True
+    ),
+    # additive-re at M = 16 is n = 256: blocks of 64 replications, 18 of them in 16 groups
+    "bound-monte-carlo": lambda: wasserstein_bound(
+        DgpSpec(variant="additive-re", M=16, hetero_eps=True, dist_alpha="centered-exponential",
+                dist_gamma="rademacher", seed=4),
+        method="monte-carlo", reps=1100,
     ),
 }
 

@@ -447,6 +447,36 @@ class TestThetaInference:
             np.ldexp(base.theta_hat, 1), np.ldexp(base.sigma_sq, 2), np.ldexp(base.V_hat[0, 0], 2)
         )
 
+    def test_rounding_level_variance_is_unresolved(self):
+        # at both scales sigma_sq is far below 1e-8 of the squared scores' variance: no t or interval
+        for res in (self.zero_variance_fit(), self.zero_variance_fit(258, 257)):
+            assert res.unresolved_variance and not res.negative_variance
+            assert (res.sigma_hat, res.t_stat, res.ci_95) == (None, None, None)
+            assert res.warnings == [regression.UNRESOLVED_VARIANCE]
+        # a negative variance of that size is not called negative: its sign is rounding too
+        fin = regression._finish_scalar(np.ones(2), 0.5, -1e-31, np.ones(3), np.ones(3), unresolved=True)
+        assert not fin.negative_variance and fin.warnings == [regression.UNRESOLVED_VARIANCE]
+
+    @pytest.mark.parametrize("share, unresolved", [(0.5e-8, True), (2e-8, False)])
+    def test_unresolved_below_1e_8_of_the_squared_scores_variance(self, monkeypatch, share, unresolved):
+        # both routes moved by the same share of the floor, Sum (u D~)^2 / ssd^2 = 0.125 here
+        base = self.zero_variance_fit()
+        scores = base.residuals * base.D_tilde
+        floor = float(scores @ scores) / float(base.D_tilde @ base.D_tilde) ** 2
+        assert floor == pytest.approx(0.125, rel=1e-12)
+        slope_variance, sandwich = regression._slope_variance, regression._sandwich
+
+        def shifted_sandwich(*args):
+            V = sandwich(*args)
+            V[0, 0] += share * floor
+            return V
+
+        monkeypatch.setattr(regression, "_slope_variance", lambda q, ssd: slope_variance(q, ssd) + share * floor)
+        monkeypatch.setattr(regression, "_sandwich", shifted_sandwich)
+        res = self.zero_variance_fit()
+        assert res.unresolved_variance is unresolved
+        assert (res.ci_95 is None) is unresolved
+
     @pytest.mark.parametrize("share, fails", [(1e-12, False), (1e-6, True)])
     def test_cross_check_scale_where_the_squared_scores_overflow(self, monkeypatch, share, fails):
         # V_hat[0, 0] moved by a share of the squared scores' variance (0.5 at these scales): within

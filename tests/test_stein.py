@@ -247,6 +247,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             wasserstein_bound(DgpSpec(variant="additive-re"), method="exact")
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_fewer_than_two_replications_refused(self, reps):
+        with pytest.raises(ValueError, match="at least 2 replications"):
+            wasserstein_bound(DgpSpec(variant="additive-re"), method="monte-carlo", reps=reps)
+
     def test_zero_variance_design_refused(self):
         spec = DgpSpec(
             variant="additive-re", M=2, sigma_alpha=0.0, sigma_gamma=0.0, sigma_eps=0.0
