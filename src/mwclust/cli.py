@@ -114,7 +114,8 @@ def _emit(text: str, out_path: str | None):
         raise DataError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _load_config(path: str, allowed: set[str]) -> dict:
+def _load_config(path: str, allowed: set[str]) -> tuple[dict, DgpSpec]:
+    """The config at ``path``, of keys in ``allowed``, and its design; each error names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -127,22 +128,17 @@ def _load_config(path: str, allowed: set[str]) -> dict:
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-    if "dgp" in cfg:
-        if not isinstance(cfg["dgp"], dict):
-            raise ConfigError(f"config {path}: 'dgp' must be an object")
-        for key in cfg["dgp"]:
-            if key not in _DGP_KEYS:
-                raise ConfigError(f"config {path}: unknown key 'dgp.{key}'")
-    return cfg
-
-
-def _dgp_from_config(cfg: dict) -> DgpSpec:
     if "dgp" not in cfg:
-        raise ConfigError("config is missing required key 'dgp'")
+        raise ConfigError(f"config {path}: missing required key 'dgp'")
+    if not isinstance(cfg["dgp"], dict):
+        raise ConfigError(f"config {path}: 'dgp' must be an object")
+    for key in cfg["dgp"]:
+        if key not in _DGP_KEYS:
+            raise ConfigError(f"config {path}: unknown key 'dgp.{key}'")
     try:
-        return DgpSpec(**cfg["dgp"])
+        return cfg, DgpSpec(**cfg["dgp"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid dgp spec: {exc}") from exc
+        raise ConfigError(f"config {path}: invalid dgp spec: {exc}") from exc
 
 
 def _read_table(path: str, columns: list[str]) -> dict[str, list[str]]:
@@ -383,13 +379,12 @@ def cmd_estimate(args) -> int:
 def _data_diagnostics(index, res, warnings: list[str]) -> dict | None:
     """Data-mode diagnostics from the pass's score pair sum and X'X/n eigenvalue."""
     try:
-        if res.score_pair_sum > 0:
+        if res.score_pair_sum > 0 and not res.unresolved_variance:
             report = assumption_ratios(index, res.D_tilde, res.score_pair_sum).to_dict()
         else:
             report = {"L_per_dim": leverage_L(index, res.D_tilde)}
-            warnings.append(
-                "estimated score variance not positive definite; regularity ratios omitted"
-            )
+            state = "is within the rounding of its scores" if res.unresolved_variance else "not positive definite"
+            warnings.append(f"estimated score variance {state}; regularity ratios omitted")
     except ValueError as exc:
         warnings.append(f"diagnostics unavailable: {exc}")
         return None
@@ -438,8 +433,7 @@ def _sweep(sweep) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, _SIMULATE_KEYS)
-    spec = _dgp_from_config(cfg)
+    cfg, spec = _load_config(args.config, _SIMULATE_KEYS)
     mode = cfg.get("mode", "coverage")
     if mode not in ("coverage", "consistency"):
         raise ConfigError(f"config key 'mode': unknown mode {mode!r}; use 'coverage' or 'consistency'")
@@ -458,11 +452,11 @@ def cmd_simulate(args) -> int:
             )
         if target == "regression-theta" and scheme.n < 2:
             raise ConfigError("config key 'dgp': a slope needs a design of at least 2 observations")
+        if cfg.get("write_data") and target != "regression-theta":
+            raise ConfigError("config key 'write_data' requires target 'regression-theta'")
         report = run_coverage(spec, target=target, reps=reps, seed=seed)
         results = report.to_dict()
         if cfg.get("write_data"):
-            if target != "regression-theta":
-                raise ConfigError("write_data requires target 'regression-theta'")
             results["first_replication"] = _write_replication(
                 cfg["write_data"], spec, seed
             )
@@ -509,8 +503,7 @@ def _write_replication(path: str, spec: DgpSpec, seed: int) -> dict:
 
 
 def cmd_bound(args) -> int:
-    cfg = _load_config(args.config, _BOUND_KEYS)
-    spec = _dgp_from_config(cfg)
+    cfg, spec = _load_config(args.config, _BOUND_KEYS)
     method = cfg.get("method", "monte-carlo")
     if method not in ("analytic", "monte-carlo"):
         raise ConfigError(f"config key 'method': unknown method {method!r}; use 'analytic' or 'monte-carlo'")
@@ -532,8 +525,7 @@ def cmd_bound(args) -> int:
 
 def cmd_diagnose(args) -> int:
     if args.config:
-        cfg = _load_config(args.config, _DIAGNOSE_KEYS)
-        spec = _dgp_from_config(cfg)
+        cfg, spec = _load_config(args.config, _DIAGNOSE_KEYS)
         out, _ = _output(args, cfg)
         scheme, oracle = structure(spec)
         if not oracle.true_Q > 0:
@@ -593,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="regression inference on a dataset")
     add_data_flags(est, require_model=True)
     est.add_argument("--out", default=None)
-    est.add_argument("--format", choices=["json"], default="json")
     est.add_argument("--psd-project", action="store_true")
     est.add_argument("--dof-correction", action="store_true")
     est.set_defaults(func=cmd_estimate)

@@ -22,65 +22,56 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ClusterScheme:
-    """Per-observation cluster labels on each clustering dimension.
+    """Per-observation cluster labels on the two clustering dimensions.
 
     Labels are stored as dense integers ``0..C-1`` per dimension; use
     :meth:`from_labels` to canonicalize arbitrary label values (strings,
-    sparse ints) at ingestion.
+    sparse ints) at ingestion. Every estimator in the package is two-way, so
+    a scheme of any other dimension count is refused when it is built.
     """
 
-    dims: tuple[str, ...]
-    labels: tuple[np.ndarray, ...]  # one dense int64 vector per dimension
+    dims: tuple[str, str]
+    labels: tuple[np.ndarray, np.ndarray]  # one dense int64 vector per dimension
     label_values: tuple[tuple, ...] = field(default=())  # original value per dense id
 
     def __post_init__(self):
-        if len(self.dims) != len(self.labels):
-            raise SchemaError("one label vector required per dimension")
-        if not self.labels:
-            raise SchemaError("at least one clustering dimension required")
-        n = len(self.labels[0])
-        if n < 1:
+        if not len(self.dims) == len(self.labels) == 2:
+            raise SchemaError(
+                f"exactly 2 clustering dimensions required, got {len(self.dims)} names "
+                f"and {len(self.labels)} label vectors"
+            )
+        g, h = self.labels
+        if len(g) < 1:
             raise SchemaError("scheme requires n >= 1")
-        for dim, lab in zip(self.dims, self.labels):
-            if len(lab) != n:
-                raise SchemaError(
-                    f"label vector for dimension {dim!r} has length {len(lab)}, expected {n}"
-                )
+        if len(h) != len(g):
+            raise SchemaError(f"label vector for dimension {self.dims[1]!r} has length {len(h)}, expected {len(g)}")
 
     @property
     def n(self) -> int:
         return len(self.labels[0])
 
     @property
-    def n_clusters(self) -> tuple[int, ...]:
+    def n_clusters(self) -> tuple[int, int]:
         return tuple(int(lab.max()) + 1 for lab in self.labels)
 
     @cached_property
     def grid(self) -> tuple[int, int] | None:
-        """``(C_G, C_H)`` of a two-way scheme laid out as a complete grid (``_grid``), else None."""
-        return _grid(*self.labels) if len(self.labels) == 2 else None
+        """``(C_G, C_H)`` when the labels lay out a complete grid (``_grid``), else None."""
+        return _grid(*self.labels)
 
     @classmethod
-    def from_labels(cls, *label_vectors, dims=None) -> "ClusterScheme":
+    def from_labels(cls, *label_vectors, dims=("G", "H")) -> "ClusterScheme":
         """Build a scheme from raw label vectors, canonicalizing to dense ints.
 
         Unused labels are dropped; the mapping back to original values is
         retained in ``label_values``.
         """
-        if dims is None:
-            dims = tuple("GH"[i] if i < 2 else f"C{i}" for i in range(len(label_vectors)))
-        dense = []
-        values = []
-        for dim, raw in zip(dims, label_vectors):
-            ids, uniq = _canonical(raw, dim)
-            if dense and ids.size != dense[0].size:
-                raise SchemaError(
-                    f"label vector for dimension {dim!r} has length {ids.size}, "
-                    f"expected {dense[0].size}"
-                )
-            dense.append(ids)
-            values.append(uniq)
-        return cls(dims=tuple(dims), labels=tuple(dense), label_values=tuple(values))
+        canonical = [_canonical(raw) for raw in label_vectors]
+        return cls(
+            dims=tuple(dims),
+            labels=tuple(ids for ids, _ in canonical),
+            label_values=tuple(values for _, values in canonical),
+        )
 
 
 def _grid(g: np.ndarray, h: np.ndarray) -> tuple[int, int] | None:
@@ -112,7 +103,7 @@ def spread(rows: np.ndarray, labels: np.ndarray, grid: tuple[int, int] | None) -
     return out.reshape(len(rows), -1)
 
 
-def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
+def _canonical(raw) -> tuple[np.ndarray, tuple]:
     """Dense int64 ids and the sorted distinct values of one label vector.
 
     The result is that of ``np.unique`` on the labels as Python objects, so
@@ -131,7 +122,7 @@ def _canonical(raw, dim) -> tuple[np.ndarray, tuple]:
                 return ranked
     arr = np.asarray(raw)
     if arr.ndim != 1:
-        raise SchemaError(f"labels for dimension {dim!r} must be one-dimensional")
+        raise SchemaError(f"cluster labels must be one-dimensional, got an array of shape {arr.shape}")
     uniq, inv = np.unique(arr, return_inverse=True)
     return inv.astype(np.int64), tuple(uniq.tolist())
 
@@ -192,10 +183,6 @@ class NeighborhoodIndex:
     """
 
     def __init__(self, scheme: ClusterScheme):
-        if len(scheme.dims) != 2:
-            raise SchemaError(
-                f"algorithms require exactly 2 clustering dimensions, got {len(scheme.dims)}"
-            )
         self.scheme = scheme
         self.n = scheme.n
         self.cluster_sizes = [np.bincount(lab) for lab in scheme.labels]

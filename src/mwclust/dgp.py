@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mwclust.clusters import ClusterScheme, _grid, build_index, spread
+from mwclust.clusters import ClusterScheme, build_index, spread
 
 VARIANTS = (
     "additive-re",
@@ -190,29 +190,27 @@ class _Layout(NamedTuple):
     in a product design, it is the product of its factors instead.
     """
 
-    g: np.ndarray  # G cluster of each observation
-    h: np.ndarray  # H cluster of each observation
+    scheme: ClusterScheme  # the design's G and H clusters, handed out by ``structure``
     mean: np.ndarray | None  # None for a centered design
     components: tuple[_Component, ...]
     noise: np.ndarray | None  # scale of the idiosyncratic component of each observation
     factors: tuple[_Component, ...] = ()  # a product design: observation i is the product of these
-    grid: tuple[int, int] | None = None  # ``ClusterScheme.grid`` of (g, h)
 
     @property
     def row_var(self) -> np.ndarray:
         """The variance of each observation that no other one shares: its noise, or its product's."""
         if self.factors:
             return math.prod(c.scale[c.labels] ** 2 for c in self.factors)
-        return np.zeros(self.g.size) if self.noise is None else self.noise**2
+        return np.zeros(self.scheme.n) if self.noise is None else self.noise**2
 
 
 @lru_cache(maxsize=64)
 def _layout(spec: DgpSpec) -> _Layout:
     """The component table of a design, built once per spec.
 
-    ``structure`` hands its arrays out (``scheme.labels``, ``oracle.mean``)
-    and ``draw`` reads them on every replication, so they are shared and
-    marked read-only.
+    ``structure`` hands its scheme and arrays out (``scheme.labels``,
+    ``oracle.mean``) and ``draw`` reads them on every replication, so they
+    are shared and the arrays marked read-only.
     """
     M, cell = spec.M, spec.cell_size
     if spec.variant == "nonzero-mean-triple":
@@ -224,7 +222,7 @@ def _layout(spec: DgpSpec) -> _Layout:
             g = 2 * block + np.tile(np.array([0, 0, 1], dtype=np.int64), M)
             h = 2 * block + np.tile(np.array([0, 1, 1], dtype=np.int64), M)
         unit = np.ones(M)  # block covariance [[1,1,0],[1,2,1],[0,1,1]]
-        layout = _Layout(g, h, np.tile([1.0, -1.0, 1.0], M), components=(
+        layout = _Layout(ClusterScheme(("G", "H"), (g, h)), np.tile([1.0, -1.0, 1.0], M), components=(
             _Component(COMP_ALPHA, spec.dist_alpha, block, unit, np.tile([1.0, 1.0, 0.0], M)),
             _Component(COMP_GAMMA, spec.dist_gamma, block, unit, np.tile([0.0, 1.0, 1.0], M)),
         ), noise=None)
@@ -235,13 +233,14 @@ def _layout(spec: DgpSpec) -> _Layout:
             _Component(COMP_ALPHA, spec.dist_alpha, g, _schedule(spec.sigma_alpha, M, spec.hetero_alpha), None),
             _Component(COMP_GAMMA, spec.dist_gamma, h, _schedule(spec.sigma_gamma, M, spec.hetero_gamma), None),
         )
-        layout = _Layout(g, h, None, effects, _schedule(spec.sigma_eps, g.size, spec.hetero_eps))
+        noise = _schedule(spec.sigma_eps, g.size, spec.hetero_eps)
+        layout = _Layout(ClusterScheme(("G", "H"), (g, h)), None, effects, noise)
         if spec.variant == "iid-conservative":
             layout = layout._replace(components=())
         if spec.variant == "interactive-chaos":  # uncorrelated but within-row/column dependent
             layout = layout._replace(components=(), noise=None, factors=effects)
-    layout = layout._replace(grid=_grid(layout.g, layout.h))
-    for arr in (*layout[:3], layout.noise, *(a for c in (*layout.components, *layout.factors) for a in c[2:])):
+    for arr in (*layout.scheme.labels, layout.mean, layout.noise,
+                *(a for c in (*layout.components, *layout.factors) for a in c[2:])):
         if arr is not None:
             arr.flags.writeable = False
     return layout
@@ -251,11 +250,11 @@ def structure(spec: DgpSpec):
     """Scheme and moment oracle for a spec; deterministic, no draws.
 
     Identical across replications, so callers can build the neighborhood
-    index once per study. The label and mean arrays are shared with every
-    other call for an equal spec, and are read-only.
+    index once per study. The scheme and the mean array are shared with
+    every other call for an equal spec, and the arrays are read-only.
     """
     lay = _layout(spec)
-    scheme = ClusterScheme(dims=("G", "H"), labels=(lay.g, lay.h))
+    scheme = lay.scheme
     # without a shared component every observation is its own cluster: self-only dependence
     linked = tuple(c.linked() for c in (*lay.components, *lay.factors)) or (np.arange(scheme.n),) * 2
     sums = [np.bincount(c.labels, c.loads, c.scale.size) for c in lay.components]  # per label, of its loadings
@@ -293,7 +292,7 @@ def draws(spec: DgpSpec, reps: range, streams: Streams | None = None) -> np.ndar
     lay = _layout(spec)
 
     def effect(comp, dist, labels, scale, load):
-        x = spread(scale * streams.fill(reps, comp, dist, scale.size), labels, lay.grid)
+        x = spread(scale * streams.fill(reps, comp, dist, scale.size), labels, lay.scheme.grid)
         return x if load is None else x * load
 
     if lay.factors:
@@ -301,7 +300,7 @@ def draws(spec: DgpSpec, reps: range, streams: Streams | None = None) -> np.ndar
         return a * b
     terms = [effect(*c) for c in lay.components]
     if lay.noise is not None:
-        terms.append(lay.noise * streams.fill(reps, COMP_EPS, spec.dist_eps, lay.g.size))
+        terms.append(lay.noise * streams.fill(reps, COMP_EPS, spec.dist_eps, lay.scheme.n))
     x = terms[0] if lay.mean is None else lay.mean + terms[0]
     for term in terms[1:]:
         x += term

@@ -49,8 +49,6 @@ class RegressionData:
         if Wc.size == 0:
             Wc = np.empty((Y.size, 0))
         Wc = np.atleast_2d(Wc)
-        if Wc.shape[0] != Y.size and Wc.shape[1] == Y.size:
-            Wc = Wc.T
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "controls", Wc)
@@ -216,12 +214,6 @@ def _gram(Z: np.ndarray, e: np.ndarray):
         raise FloatingPointError(f"X'X is not invertible in double precision: {exc}") from None
 
 
-def _design_scores(Z: np.ndarray, u_hat: np.ndarray, out: np.ndarray) -> None:
-    """Write the scores X_s * u into ``out``, one row per column of X_s (``_gram``'s order)."""
-    np.multiply(Z[:, -1], u_hat, out=out[0])
-    np.multiply(Z[:, :-1].T, u_hat, out=out[1:])
-
-
 def _sandwich(S_inv: np.ndarray, Q: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Covariance of the coefficients from the scaled bread S^-1 and meat Q of ``_gram``'s X_s.
 
@@ -291,16 +283,15 @@ def intercept_only_slope(
 
 
 def stochastic_design_inference(data: RegressionData, index: NeighborhoodIndex) -> InferenceResult:
-    """Full sandwich inference treating the regressors as random."""
-    design = _design(data)
-    beta, D_tilde, _, u_hat = _fit(data, design)
-    S_inv, e, rank_lambda = _gram(*design)
-    scores = np.empty((e.size, data.n))  # one score per row
-    _design_scores(design[0], u_hat, scores)
-    del design
-    V_hat = _sandwich(S_inv, _pair_sum(scores.T, index), e)
+    """Full sandwich inference treating the regressors as random: ``theta_inference``'s sandwich.
+
+    The slope's variance is the sandwich's (1,1) element, which the pass has
+    cross-checked against the residualized one; it is unresolved when that one is.
+    """
+    res = theta_inference(data, index)
     return _finish_scalar(
-        beta, float(beta[0]), float(V_hat[0, 0]), u_hat, D_tilde, V_hat=V_hat, rank_lambda=rank_lambda
+        res.beta_hat, res.theta_hat, float(res.V_hat[0, 0]), res.residuals, res.D_tilde,
+        V_hat=res.V_hat, unresolved=res.unresolved_variance, rank_lambda=res.rank_lambda,
     )
 
 
@@ -311,13 +302,14 @@ def theta_inference(data: RegressionData, index: NeighborhoodIndex) -> Inference
     asserts the numeric identity between the (1,1) element of the full
     sandwich and the residualized variance formula.
     """
-    design = _design(data)
-    beta, D_tilde, ssd, u_hat = _fit(data, design)
-    S_inv, e, rank_lambda = _gram(*design)
-    scores = np.empty((e.size + 1, data.n))  # one score per row
+    Z, e = _design(data)
+    beta, D_tilde, ssd, u_hat = _fit(data, (Z, e))
+    S_inv, e, rank_lambda = _gram(Z, e)
+    scores = np.empty((e.size + 1, data.n))  # one score per row: u_hat * D_tilde, then X_s * u in _gram's order
     np.multiply(u_hat, D_tilde, out=scores[0])
-    _design_scores(design[0], u_hat, scores[1:])
-    del design  # the pair sum holds the scores and their weighted copy
+    np.multiply(Z[:, -1], u_hat, out=scores[1])
+    np.multiply(Z[:, :-1].T, u_hat, out=scores[2:])
+    del Z  # the pair sum holds the scores and their weighted copy
     Q = _pair_sum(scores.T, index)  # a view whose columns cluster_sums reads without a copy
     pair_sum = float(Q[0, 0])
     sigma_sq = _slope_variance(pair_sum, ssd)

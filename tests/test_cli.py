@@ -339,6 +339,13 @@ class TestEstimate:
         assert doc["warnings"][0] == (
             "estimated variance is within the rounding of its scores; confidence interval suppressed"
         )
+        # nor are regularity ratios formed from a score pair sum that is rounding alone
+        assert results["diagnostics"]["L_per_dim"] == {"g": 1.0, "h": 1.0}
+        assert not any(key.startswith("ratio") for key in results["diagnostics"])
+        assert doc["warnings"][1:] == [
+            "estimated score variance is within the rounding of its scores; regularity ratios omitted"
+        ]
+        check_report(out)
 
     def test_fewer_rows_than_regressors_exit_3(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
@@ -1330,6 +1337,47 @@ class TestOutputSettings:
         target = str(tmp_path / missing)
         argv = ["estimate", "--data", str(DATA), "--y", "y", "--d", "d", "--cluster", "g,h", "--out", target]
         assert_config_error(*run_cli(argv, capsys), f"cannot write {target}")
+
+
+MODEL = ["--y", "y", "--d", "d"]
+# (argv, config text or None for no file, what the message names); "{tmp}" is the test's directory
+ERROR_EXITS = [
+    *(
+        pytest.param([command, "--config", "{tmp}/cfg.json"], text, message, id=f"{command}-{case}")
+        for command in ("simulate", "bound", "diagnose")
+        for case, text, message in (
+            ("missing-config", None, "cannot read config {tmp}/cfg.json"),
+            ("invalid-json", "{", "config {tmp}/cfg.json is not valid JSON"),
+            ("top-level-array", "[]", "config {tmp}/cfg.json: top level must be an object"),
+            ("dgp-not-an-object", '{"dgp": 3}', "config {tmp}/cfg.json: 'dgp' must be an object"),
+            ("no-dgp", "{}", "config {tmp}/cfg.json: missing required key 'dgp'"),
+            ("invalid-dgp", '{"dgp": {"variant": "x"}}', "config {tmp}/cfg.json: invalid dgp spec"),
+        )
+    ),
+    pytest.param(["estimate", "--data", "{tmp}/no.csv", *MODEL, "--cluster", "g,h"], None, "cannot read {tmp}/no.csv",
+                 id="estimate-missing-data"),
+    pytest.param(["diagnose", "--data", "{tmp}/no.csv", "--cluster", "g,h"], None, "cannot read {tmp}/no.csv",
+                 id="diagnose-missing-data"),
+    pytest.param(["estimate", "--data", str(DATA), *MODEL, "--cluster", "g"], None, "--cluster", id="estimate-one-cluster"),
+    pytest.param(["diagnose", "--data", str(DATA), "--cluster", "g"], None, "--cluster", id="diagnose-one-cluster"),
+    pytest.param(["simulate", "--config", "{tmp}/cfg.json"], json.dumps({**COVERAGE, "write_data": "{tmp}/rep.csv"}),
+                 "config key 'write_data' requires target 'regression-theta'", id="write-data-mean-target"),
+]
+
+
+class TestErrorExits:
+    """An error found before any work runs exits 2 with one ``error:`` line naming the file or the key."""
+
+    @pytest.mark.parametrize("argv, config, message", ERROR_EXITS)
+    def test_exit_2_names_the_file_or_key(self, tmp_path, capsys, monkeypatch, argv, config, message):
+        for study in ("run_coverage", "run_consistency", "wasserstein_bound"):
+            monkeypatch.setattr(cli, study, lambda *a, **k: pytest.fail("study ran"))
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config.replace("{tmp}", str(tmp_path)))
+        code, out, err = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+        assert_config_error(code, out, err, message.replace("{tmp}", str(tmp_path)))
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["cfg.json"])
 
 
 def optional(strategy):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mwclust.clusters import (
     ClusterScheme,
-    NeighborhoodIndex,
     SchemaError,
     WeightedSample,
     build_index,
@@ -118,9 +117,16 @@ class TestNeighborhoodIndex:
             index.neighborhood(2)
 
     def test_requires_two_dims(self):
-        scheme = ClusterScheme.from_labels([0, 1], dims=("G",))
-        with pytest.raises(SchemaError):
-            NeighborhoodIndex(scheme)
+        # the scheme is two-way by construction, so no index of another dimension count can be asked for
+        for build in (
+            lambda: ClusterScheme.from_labels([0, 1], dims=("G",)),
+            lambda: ClusterScheme.from_labels([0, 1]),
+            lambda: ClusterScheme.from_labels([0, 1], [0, 1], [0, 1]),
+            lambda: ClusterScheme.from_labels([0, 1], [0, 1], [0, 1], dims=("G", "H", "K")),
+            lambda: ClusterScheme(dims=("G", "H"), labels=(np.zeros(2, np.int64),)),
+        ):
+            with pytest.raises(SchemaError, match="exactly 2 clustering dimensions"):
+                build()
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)

@@ -105,6 +105,9 @@ class TestOlsFit:
                          [0, 1], [0, 1], names=("d", "(intercept)", "x", "z"))
         with pytest.raises(SingularDesignError, match="rank deficient at column 'z'"):
             _fit(data)
+        # controls given k-by-n, k != n, are refused, not transposed
+        with pytest.raises(ValueError, match="Y, D and controls must agree on n"):
+            make_data([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], np.ones((2, 3)), [0, 1, 2], [0, 1, 2])
 
     def test_orthogonality_check_catches_a_faulty_solve(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -427,11 +430,11 @@ class TestThetaInference:
         assert res.sigma_sq == pytest.approx(expect, rel=1e-12)
 
     @staticmethod
-    def zero_variance_fit(y_exp=0, d_exp=0):
-        """theta_inference on three rows whose scores sum to zero in every cluster, Y and D scaled by 2^k."""
+    def zero_variance_fit(y_exp=0, d_exp=0, inference=theta_inference):
+        """``inference`` on three rows whose scores sum to zero in every cluster, Y and D scaled by 2^k."""
         Y, D = np.ldexp([1.0, 2.0, 3.0], y_exp), np.ldexp([1.0, 3.0, 2.0], d_exp)
         data = make_data(Y, D, np.ones((3, 1)), ["a", "a", "b"], ["b", "b", "c"])
-        return theta_inference(data, build_index(data.scheme))
+        return inference(data, build_index(data.scheme))
 
     def test_zero_clustered_variance_passes_the_cross_check(self):
         # sigma_sq and V_hat[0, 0] are rounding alone, far below the 1e-8 tolerance of the squared
@@ -448,8 +451,10 @@ class TestThetaInference:
         )
 
     def test_rounding_level_variance_is_unresolved(self):
-        # at both scales sigma_sq is far below 1e-8 of the squared scores' variance: no t or interval
-        for res in (self.zero_variance_fit(), self.zero_variance_fit(258, 257)):
+        # at both scales sigma_sq is far below 1e-8 of the squared scores' variance: no t or interval;
+        # nor from the sandwich's (1,1) element, which the cross-check holds to the same tolerance
+        for res in (self.zero_variance_fit(), self.zero_variance_fit(258, 257),
+                    self.zero_variance_fit(inference=stochastic_design_inference)):
             assert res.unresolved_variance and not res.negative_variance
             assert (res.sigma_hat, res.t_stat, res.ci_95) == (None, None, None)
             assert res.warnings == [regression.UNRESOLVED_VARIANCE]
