@@ -24,7 +24,7 @@ import numpy as np
 
 from mwclust.clusters import ClusterScheme, _ranked, build_index
 from mwclust.dgp import DgpSpec, structure, true_bias_term
-from mwclust.diagnostics import assumption_ratios, leverage_L
+from mwclust.diagnostics import assumption_ratios, leverage_L, leverage_warnings
 from mwclust.harness import regression_replication, run_consistency, run_coverage
 from mwclust.regression import (
     RegressionData,
@@ -43,20 +43,17 @@ EXIT_DATA = 2
 EXIT_SINGULAR = 3
 
 _DGP_KEYS = {f.name for f in dc_fields(DgpSpec)}
-_SIMULATE_KEYS = {
-    "dgp",
-    "mode",
-    "target",
-    "reps",
-    "seed",
-    "sweep",
-    "demean",
-    "write_data",
-    "out",
-    "format",
+# For each command, the config key that names its mode (None: it has one) and, by
+# mode, the first being the default, the keys the mode reads besides 'dgp' and 'out'.
+# A key or option that the mode does not read is refused.
+_SETTINGS = {
+    "simulate": ("mode", {
+        "coverage": {"target", "reps", "seed", "write_data"},
+        "consistency": {"sweep", "reps", "seed", "demean", "format"},
+    }),
+    "bound": ("method", {"monte-carlo": {"reps", "sweep"}, "analytic": {"sweep"}}),
+    "diagnose": (None, {None: set()}),
 }
-_BOUND_KEYS = {"dgp", "method", "reps", "sweep", "out", "format"}
-_DIAGNOSE_KEYS = {"dgp", "out", "format"}
 
 
 class ConfigError(ValueError):
@@ -114,8 +111,13 @@ def _emit(text: str, out_path: str | None):
         raise DataError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _load_config(path: str, allowed: set[str]) -> tuple[dict, DgpSpec]:
-    """The config at ``path``, of keys in ``allowed``, and its design; each error names the file."""
+def _load_config(args) -> tuple[dict, DgpSpec, str | None]:
+    """The config at ``args.config``, its design and its mode, from ``_SETTINGS``.
+
+    A key that no mode reads, a mode not in the table, and a key or option
+    given that the mode does not read are refused before any work.
+    """
+    path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -125,9 +127,20 @@ def _load_config(path: str, allowed: set[str]) -> tuple[dict, DgpSpec]:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"config {path}: unknown key {key!r}")
+    mode_key, modes = _SETTINGS[args.subcommand]
+    mode = cfg.get(mode_key, next(iter(modes)))
+    if mode not in list(modes):  # a list: the value may be unhashable
+        raise ConfigError(f"config key {mode_key!r}: unknown {mode_key} {mode!r}; use {' or '.join(map(repr, modes))}")
+    # each key, then each option given but the config's path: what it is, and the error if no mode reads it
+    named = [(key, f"config {path}: key {key!r}", f"config {path}: unknown key {key!r}") for key in cfg]
+    named += [
+        (key, f"option --{key}", f"option --{key} is not read with --config") for key, value in vars(args).items()
+        if value not in (None, "") and key not in ("subcommand", "func", "config")
+    ]
+    for key, what, unknown in named:
+        readers = " or ".join(repr(m) for m, keys in modes.items() if key in keys)
+        if key not in {"dgp", "out", mode_key, *modes[mode]}:
+            raise ConfigError(f"{what} is read only in {mode_key} {readers}, not in {mode!r}" if readers else unknown)
     if "dgp" not in cfg:
         raise ConfigError(f"config {path}: missing required key 'dgp'")
     if not isinstance(cfg["dgp"], dict):
@@ -136,7 +149,7 @@ def _load_config(path: str, allowed: set[str]) -> tuple[dict, DgpSpec]:
         if key not in _DGP_KEYS:
             raise ConfigError(f"config {path}: unknown key 'dgp.{key}'")
     try:
-        return cfg, DgpSpec(**cfg["dgp"])
+        return cfg, DgpSpec(**cfg["dgp"]), mode
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: invalid dgp spec: {exc}") from exc
 
@@ -362,18 +375,14 @@ def cmd_estimate(args) -> int:
         "negative_variance": fin.negative_variance,
         "diagnostics": diag,
     }
-    echo = {
-        "data": args.data,
-        "y": args.y,
-        "d": args.d,
-        "controls": args.controls or "",
-        "cluster": args.cluster,
-        "weight": args.weight or "",
-        "psd_project": bool(args.psd_project),
-        "dof_correction": bool(args.dof_correction),
-    }
+    echo = {**_data_echo(args), "psd_project": bool(args.psd_project), "dof_correction": bool(args.dof_correction)}
     _emit(_report("estimate", echo, results, warnings), args.out)
     return EXIT_OK
+
+
+def _data_echo(args) -> dict:
+    """The data options as a report echoes them; one not given reads ''."""
+    return {key: getattr(args, key) or "" for key in ("data", "y", "d", "controls", "cluster", "weight")}
 
 
 def _data_diagnostics(index, res, warnings: list[str]) -> dict | None:
@@ -382,14 +391,15 @@ def _data_diagnostics(index, res, warnings: list[str]) -> dict | None:
         if res.score_pair_sum > 0 and not res.unresolved_variance:
             report = assumption_ratios(index, res.D_tilde, res.score_pair_sum).to_dict()
         else:
-            report = {"L_per_dim": leverage_L(index, res.D_tilde)}
+            L = leverage_L(index, res.D_tilde)
             state = "is within the rounding of its scores" if res.unresolved_variance else "not positive definite"
-            warnings.append(f"estimated score variance {state}; regularity ratios omitted")
+            omitted = f"estimated score variance {state}; regularity ratios omitted"
+            report = {"L_per_dim": L, "warnings": [*leverage_warnings(L), omitted]}
     except ValueError as exc:
         warnings.append(f"diagnostics unavailable: {exc}")
         return None
     report["rank_lambda"] = res.rank_lambda
-    warnings.extend(w for w in report.pop("warnings", []) if w not in warnings)
+    warnings.extend(w for w in report.pop("warnings") if w not in warnings)
     return report
 
 
@@ -411,18 +421,12 @@ def _setting(args, cfg: dict, key: str, default, least: int, below: int | None =
     return _integer(cfg.get(key, default), f"config key {key!r}", least, below)
 
 
-def _output(args, cfg: dict, csv_ok: bool = False) -> tuple[str | None, str]:
-    """The report's path (None for stdout) and format, options first; also checks ``write_data``."""
+def _output(args, cfg: dict) -> str | None:
+    """The report's path (None for stdout), the option first; also checks ``write_data``."""
     for key in ("out", "write_data"):
         if not isinstance(cfg.get(key, ""), str):
             raise ConfigError(f"config key {key!r} must be a path string, got {cfg[key]!r}")
-    fmt = cfg.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"config key 'format': unknown format {fmt!r}; use 'json' or 'csv'")
-    fmt = getattr(args, "format", None) or fmt
-    if fmt == "csv" and not csv_ok:
-        raise ConfigError("csv format is only available for the consistency trace")
-    return args.out or cfg.get("out"), fmt
+    return args.out or cfg.get("out")
 
 
 def _sweep(sweep) -> list[int]:
@@ -433,14 +437,15 @@ def _sweep(sweep) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    cfg, spec = _load_config(args.config, _SIMULATE_KEYS)
-    mode = cfg.get("mode", "coverage")
-    if mode not in ("coverage", "consistency"):
-        raise ConfigError(f"config key 'mode': unknown mode {mode!r}; use 'coverage' or 'consistency'")
+    cfg, spec, mode = _load_config(args)
     # a sample standard deviation needs two replications
     reps = _setting(args, cfg, "reps", 1000, 1 if mode == "coverage" else 2)
-    seed = _setting(args, cfg, "seed", 0, 0, 2**64)
-    out, fmt = _output(args, cfg, csv_ok=mode == "consistency")
+    seed = _setting(args, cfg, "seed", spec.seed, 0, 2**64)
+    out = _output(args, cfg)
+    fmt = cfg.get("format", "json")  # the table leaves it, and --format, to the consistency trace
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"config key 'format': unknown format {fmt!r}; use 'json' or 'csv'")
+    fmt = args.format or fmt
     scheme, oracle = structure(spec)
     if mode == "coverage":
         if not oracle.true_Q < math.inf:
@@ -458,7 +463,7 @@ def cmd_simulate(args) -> int:
         results = report.to_dict()
         if cfg.get("write_data"):
             results["first_replication"] = _write_replication(
-                cfg["write_data"], spec, seed
+                cfg["write_data"], spec, scheme, seed
             )
     else:
         sweep = _sweep(cfg.get("sweep"))
@@ -491,9 +496,8 @@ def _trace_csv(trace: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_replication(path: str, spec: DgpSpec, seed: int) -> dict:
-    """Write replication 0 as a dataset and return its in-memory estimates."""
-    scheme, _ = structure(spec)
+def _write_replication(path: str, spec: DgpSpec, scheme: ClusterScheme, seed: int) -> dict:
+    """Write replication 0 of the design ``spec`` of ``scheme`` as a dataset; return its estimates."""
     data = regression_replication(replace(spec, seed=seed), scheme, 0)
     g, h = scheme.labels
     rows = (f"{float(data.Y[k])!r},{float(data.D[k])!r},{g[k]},{h[k]}\n" for k in range(scheme.n))
@@ -503,30 +507,27 @@ def _write_replication(path: str, spec: DgpSpec, seed: int) -> dict:
 
 
 def cmd_bound(args) -> int:
-    cfg, spec = _load_config(args.config, _BOUND_KEYS)
-    method = cfg.get("method", "monte-carlo")
-    if method not in ("analytic", "monte-carlo"):
-        raise ConfigError(f"config key 'method': unknown method {method!r}; use 'analytic' or 'monte-carlo'")
-    # the Monte Carlo variance term is a sample variance
-    reps = _setting(args, cfg, "reps", 10_000, 2 if method == "monte-carlo" else 1)
+    cfg, spec, method = _load_config(args)
+    # the Monte Carlo variance term is a sample variance; the analytic bound has no replications
+    reps = {"reps": _setting(args, cfg, "reps", 10_000, 2)} if method == "monte-carlo" else {}
     sweep = _sweep(cfg.get("sweep") or [spec.M])
-    out, _ = _output(args, cfg)
+    out = _output(args, cfg)
     results = {"bounds": []}
     for M in sweep:
         try:
-            rep = wasserstein_bound(replace(spec, M=M), method=method, reps=reps)
+            rep = wasserstein_bound(replace(spec, M=M), method=method, **reps)
         except ValueError as exc:  # a design of zero or overflowing variance, or not Gaussian for 'analytic'
             raise ConfigError(f"config keys 'dgp' and 'method' at M={M}: {exc}") from None
         results["bounds"].append({**rep.to_dict(), "M": M})
-    echo = {**cfg, "method": method, "reps": reps, "sweep": list(sweep)}
+    echo = {**cfg, "method": method, **reps, "sweep": list(sweep)}
     _emit(_report("bound", echo, results, []), out)
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     if args.config:
-        cfg, spec = _load_config(args.config, _DIAGNOSE_KEYS)
-        out, _ = _output(args, cfg)
+        cfg, spec, _ = _load_config(args)
+        out = _output(args, cfg)
         scheme, oracle = structure(spec)
         if not oracle.true_Q > 0:
             raise ConfigError("config key 'dgp': design has zero variance; the ratios are undefined")
@@ -554,16 +555,11 @@ def cmd_diagnose(args) -> int:
         index = build_index(scheme)
         weights = np.ones(scheme.n) if w is None else w
     results = {"L_per_dim": leverage_L(index, weights), "n": index.n}
-    warnings = ["data mode: dependence indicator unobservable; only leverage reported"]
-    echo = {
-        "data": args.data,
-        "y": args.y or "",
-        "d": args.d or "",
-        "controls": args.controls or "",
-        "cluster": args.cluster,
-        "weight": args.weight or "",
-    }
-    _emit(_report("diagnose", echo, results, warnings), args.out)
+    warnings = [
+        *leverage_warnings(results["L_per_dim"]),
+        "data mode: dependence indicator unobservable; only leverage reported",
+    ]
+    _emit(_report("diagnose", _data_echo(args), results, warnings), args.out)
     return EXIT_OK
 
 

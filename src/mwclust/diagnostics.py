@@ -45,6 +45,15 @@ def leverage_L(index: NeighborhoodIndex, weights) -> dict[str, float]:
     return {dim: float(sq.max() / sq.sum()) for dim, sq in per_cluster.items()}
 
 
+def leverage_warnings(L: dict[str, float]) -> list[str]:
+    """A warning for each dimension whose leverage ``L`` is above ``L_WARN_DEFAULT``."""
+    return [
+        f"leverage on dimension {dim} is {val:.4g}, above threshold {L_WARN_DEFAULT:.4g}"
+        for dim, val in L.items()
+        if val > L_WARN_DEFAULT
+    ]
+
+
 def _dependent_abs_sum(labels, dependent: ClusterScheme, weights) -> float:
     """Sum of |w_i w_j| over the pairs in one cluster of ``labels`` that are truly dependent.
 
@@ -85,12 +94,7 @@ def assumption_ratios(
             for dim, labels in zip(index.scheme.dims, index.scheme.labels)
         }
     ratio_23 = {dim: total / Q_reference for dim, total in pair_sums.items()}
-    warnings = []
-    for dim, val in L.items():
-        if val > L_WARN_DEFAULT:
-            warnings.append(
-                f"leverage on dimension {dim} is {val:.4g}, above threshold {L_WARN_DEFAULT:.4g}"
-            )
+    warnings = leverage_warnings(L)
     if dependent is None:
         warnings.append(
             "dependence indicator unobservable: ratio_23 uses the shared-cluster "

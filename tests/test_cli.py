@@ -343,7 +343,9 @@ class TestEstimate:
         assert results["diagnostics"]["L_per_dim"] == {"g": 1.0, "h": 1.0}
         assert not any(key.startswith("ratio") for key in results["diagnostics"])
         assert doc["warnings"][1:] == [
-            "estimated score variance is within the rounding of its scores; regularity ratios omitted"
+            "leverage on dimension g is 1, above threshold 0.03333",
+            "leverage on dimension h is 1, above threshold 0.03333",
+            "estimated score variance is within the rounding of its scores; regularity ratios omitted",
         ]
         check_report(out)
 
@@ -1059,6 +1061,23 @@ class TestSimulate:
         assert lines[0] == "M,n,mean_var_ratio,var_ratio_sd,mc_se"
         assert len(lines) == 3
 
+    def test_dgp_seed_is_the_default_study_seed(self, tmp_path, capsys):
+        # the study's seed is --seed, else 'seed', else 'dgp.seed', else 0
+        dgp = {"variant": "additive-re", "M": 3}
+
+        def run(cfg, *argv):
+            code, out, err = run_cli(["simulate", "--config", write_config(tmp_path, {**cfg, "reps": 20}), *argv], capsys)
+            assert (code, err) == (0, "")
+            return out
+
+        from_dgp = run({"dgp": {**dgp, "seed": 5}})
+        assert from_dgp == run({"dgp": {**dgp, "seed": 5}, "seed": 5})
+        results = json.loads(from_dgp)["results"]
+        assert json.loads(run({"dgp": dgp, "seed": 5}))["results"] == results
+        assert json.loads(run({"dgp": {**dgp, "seed": 9}, "seed": 5}))["results"] == results
+        assert json.loads(run({"dgp": {**dgp, "seed": 9}, "seed": 7}, "--seed", "5"))["results"] == results
+        assert json.loads(run({"dgp": {**dgp, "seed": 9}}))["results"] != results
+
     def test_write_data_round_trip_full_precision(self, tmp_path, capsys):
         csv_path = tmp_path / "rep0.csv"
         cfg = tmp_path / "cfg.json"
@@ -1213,7 +1232,7 @@ class TestStudySettings:
             assert_config_error(*run_cli([command, "--config", path], capsys), f"dgp.{key}", repr(value))
 
 
-ANALYTIC_BOUND = {**MC_BOUND, "method": "analytic"}
+ANALYTIC_BOUND = {"dgp": MC_BOUND["dgp"], "method": "analytic"}
 ORACLE_DIAGNOSE = {"dgp": {"variant": "additive-re", "M": 3}}
 
 
@@ -1278,11 +1297,13 @@ class TestScaleFreeBounds:
     def test_fields_do_not_depend_on_a_common_scale(self, tmp_path, capsys, variant, method, M, sigmas, hetero, exponent):
         effects = ("alpha", "gamma", "eps")
         dgp = {"variant": variant, "M": M, "seed": 4, **{f"hetero_{k}": v for k, v in zip(effects, hetero)}}
+        settings = {"method": method}
         if method == "monte-carlo":
             dgp["dist_alpha"] = "centered-exponential"
+            settings["reps"] = 20
         bounds = []
         for c in (1.0, 10.0**exponent):
-            cfg = {"dgp": {**dgp, **{f"sigma_{k}": s * c for k, s in zip(effects, sigmas)}}, "method": method, "reps": 20}
+            cfg = {"dgp": {**dgp, **{f"sigma_{k}": s * c for k, s in zip(effects, sigmas)}}, **settings}
             code, out, err = run_cli(["bound", "--config", write_config(tmp_path, cfg)], capsys)
             assert (code, err) == (0, "")
             bounds.append(json.loads(out, parse_constant=pytest.fail)["results"]["bounds"][0])
@@ -1305,7 +1326,7 @@ class TestOutputSettings:
             ("simulate", CONSISTENCY, "format", "xml"),
             ("simulate", CONSISTENCY, "out", 7),
             ("simulate", COVERAGE, "write_data", 5),
-            ("simulate", CONSISTENCY, "write_data", 5),
+            ("simulate", {**COVERAGE, "target": "regression-theta"}, "write_data", 5),
             ("bound", MC_BOUND, "out", 7),
             ("bound", MC_BOUND, "format", "xml"),
             ("diagnose", ORACLE_DIAGNOSE, "out", 7),
@@ -1313,13 +1334,19 @@ class TestOutputSettings:
         ],
     )
     def test_bad_output_key(self, tmp_path, capsys, command, cfg, key, value):
+        # no bound or diagnose config reads 'format', so there it is an unknown key, whatever its value
+        unknown = key == "format" and command != "simulate"
+        names = [f"unknown key '{key}'"] if unknown else [f"config key '{key}'", repr(value)]
         path = write_config(tmp_path, {**cfg, key: value})
-        assert_config_error(*run_cli([command, "--config", path], capsys), f"config key '{key}'", repr(value))
+        assert_config_error(*run_cli([command, "--config", path], capsys), *names)
 
     @pytest.mark.parametrize("command,cfg", [("simulate", COVERAGE), ("bound", MC_BOUND), ("diagnose", ORACLE_DIAGNOSE)])
     def test_csv_only_for_the_consistency_trace(self, tmp_path, capsys, command, cfg):
+        # the consistency mode alone reads 'format'; a bound or diagnose config knows no such key
         path = write_config(tmp_path, {**cfg, "format": "csv"})
-        assert_config_error(*run_cli([command, "--config", path], capsys), "csv format")
+        refused = "key 'format' is read only in mode 'consistency', not in 'coverage'"
+        assert_config_error(*run_cli([command, "--config", path], capsys),
+                            refused if command == "simulate" else "unknown key 'format'")
 
     @pytest.mark.parametrize("where", ["option", "out", "write_data"])
     @pytest.mark.parametrize("missing", ["no/such/dir/r.txt", "."])
@@ -1362,6 +1389,38 @@ ERROR_EXITS = [
     pytest.param(["diagnose", "--data", str(DATA), "--cluster", "g"], None, "--cluster", id="diagnose-one-cluster"),
     pytest.param(["simulate", "--config", "{tmp}/cfg.json"], json.dumps({**COVERAGE, "write_data": "{tmp}/rep.csv"}),
                  "config key 'write_data' requires target 'regression-theta'", id="write-data-mean-target"),
+    # a key or option that the config's mode does not read, named with the mode that does
+    *(
+        pytest.param(["simulate", "--config", "{tmp}/cfg.json"], json.dumps({**COVERAGE, key: value}),
+                     f"config {{tmp}}/cfg.json: key '{key}' is read only in mode 'consistency', not in 'coverage'",
+                     id=f"coverage-{key}")
+        for key, value in (("sweep", [2, 3]), ("demean", False), ("format", "json"))
+    ),
+    *(
+        pytest.param(["simulate", "--config", "{tmp}/cfg.json"], json.dumps({**CONSISTENCY, key: value}),
+                     f"config {{tmp}}/cfg.json: key '{key}' is read only in mode 'coverage', not in 'consistency'",
+                     id=f"consistency-{key}")
+        for key, value in (("target", "mean"), ("write_data", "{tmp}/rep.csv"))
+    ),
+    pytest.param(["simulate", "--config", "{tmp}/cfg.json", "--format", "json"], json.dumps(COVERAGE),
+                 "option --format is read only in mode 'consistency', not in 'coverage'", id="coverage-format-option"),
+    pytest.param(["bound", "--config", "{tmp}/cfg.json"], json.dumps({**ANALYTIC_BOUND, "reps": 5}),
+                 "config {tmp}/cfg.json: key 'reps' is read only in method 'monte-carlo', not in 'analytic'",
+                 id="analytic-reps"),
+    pytest.param(["bound", "--config", "{tmp}/cfg.json", "--reps", "5"], json.dumps(ANALYTIC_BOUND),
+                 "option --reps is read only in method 'monte-carlo', not in 'analytic'", id="analytic-reps-option"),
+    *(
+        pytest.param([command, "--config", "{tmp}/cfg.json"], json.dumps({**cfg, "format": "json"}),
+                     "config {tmp}/cfg.json: unknown key 'format'", id=f"{command}-format")
+        for command, cfg in (("bound", MC_BOUND), ("diagnose", ORACLE_DIAGNOSE))
+    ),
+    # the data options, even a weight column that the file lacks, are not read beside a config
+    *(
+        pytest.param(["diagnose", "--config", "{tmp}/cfg.json", f"--{option}", value], json.dumps(ORACLE_DIAGNOSE),
+                     f"option --{option} is not read with --config", id=f"diagnose-config-{option}")
+        for option, value in (("data", str(DATA)), ("cluster", "g,h"), ("y", "y"), ("d", "d"), ("controls", "x1"),
+                              ("weight", "no_such_column"))
+    ),
 ]
 
 
@@ -1370,7 +1429,7 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("argv, config, message", ERROR_EXITS)
     def test_exit_2_names_the_file_or_key(self, tmp_path, capsys, monkeypatch, argv, config, message):
-        for study in ("run_coverage", "run_consistency", "wasserstein_bound"):
+        for study in ("run_coverage", "run_consistency", "wasserstein_bound", "assumption_ratios"):
             monkeypatch.setattr(cli, study, lambda *a, **k: pytest.fail("study ran"))
         if config is not None:
             (tmp_path / "cfg.json").write_text(config.replace("{tmp}", str(tmp_path)))
@@ -1443,15 +1502,19 @@ class TestStudyFuzz:
            seed=optional(st.sampled_from([0, 3, -1, "x"])), bad=BAD_VALUES,
            reps_option=optional(st.sampled_from([0, 1, 2, 4])))
     def test_simulate(self, tmp_path, capsys, mode, target, reps, sweep, dgp, seed, bad, reps_option):
-        cfg = {"dgp": dgp, "mode": mode, "target": target, "reps": reps, "sweep": sweep, "seed": seed}
+        # the keys the drawn mode reads; a bad value may still fall on a key it does not
+        read = {"sweep": sweep} if mode == "consistency" else {"target": target}
+        cfg = {"dgp": dgp, "mode": mode, "reps": reps, "seed": seed, **read}
         self.check(tmp_path, capsys, "simulate", cfg, bad, reps_option)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(**{k: STUDY_VALUES[k] for k in ("method", "reps", "sweep", "dgp")}, bad=BAD_VALUES,
            reps_option=optional(st.sampled_from([0, 1, 2, 4])))
     def test_bound(self, tmp_path, capsys, method, reps, sweep, dgp, bad, reps_option):
-        cfg = {"dgp": dgp, "method": method, "reps": reps, "sweep": sweep}
-        self.check(tmp_path, capsys, "bound", cfg, bad, reps_option)
+        # the analytic bound reads neither 'reps' nor --reps
+        replicated = method != "analytic"
+        cfg = {"dgp": dgp, "method": method, "reps": reps if replicated else None, "sweep": sweep}
+        self.check(tmp_path, capsys, "bound", cfg, bad, reps_option if replicated else None)
 
 
 class TestDiagnose:
